@@ -25,7 +25,6 @@ from .quadrature import (
     QuadratureRule,
     gauss_laguerre,
     integrate_adaptive,
-    integrate_exp_weight,
     tridiag_eigen,
 )
 from .channel import (
@@ -51,7 +50,6 @@ from .fas_stats import (
     quantile,
 )
 from .metrics import (
-    BlerTerms,
     OutageSpec,
     codeword_correlation,
     combinatorial_exponent,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveResult",
-    "BlerTerms",
     "BlockModel",
     "EigenFactor",
     "GainDistribution",
@@ -102,7 +99,6 @@ __all__ = [
     "fit_block_model",
     "gauss_laguerre",
     "integrate_adaptive",
-    "integrate_exp_weight",
     "load_block_model",
     "load_correlation",
     "marcum_q1",

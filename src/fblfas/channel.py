@@ -10,16 +10,20 @@ which stacks into a symmetric Toeplitz correlation matrix. Channels are
 drawn through the eigenvalue factorization g = Q Lambda^(1/2) g0 with g0
 i.i.d. circular complex Gaussian, and the correlation structure is
 condensed into a small block model (per-block size L_b, shared intra-block
-correlation mu^2) for the analytical distribution work.
+correlation mu^2) for the analytical distribution work. The block fit is
+matrix-free: it finds the leading eigenvalues from the first row alone, so
+only the Monte Carlo factorization ever builds the N x N matrix.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import parallel
 from .errors import NumericError
@@ -48,6 +52,11 @@ EIGENVALUE_CLIP = 1e-12
 # A mode below the average of a trace-N spectrum carries no block's worth
 # of ports.
 BLOCK_SIGNIFICANCE = 1e-2
+
+# Leading-spectrum search (_leading_eigenvalues): start block size and Ritz
+# residual target relative to the largest Ritz value.
+_START_COLUMNS = 8
+_RITZ_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,11 +132,22 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ToeplitzCorrelation:
-    """Port correlation matrix and its generating first row."""
+    """Port correlation, the symmetric Toeplitz matrix of its first row.
+
+    The dense N x N matrix is built on first access and then kept; the
+    block fit never asks for it, only the Monte Carlo factorization does.
+    """
 
     size: int
     first_row: np.ndarray
-    matrix: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.first_row) != (self.size,):
+            raise ValueError("first_row must hold one value per port (size)")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return toeplitz(self.first_row)
 
 
 @dataclass(frozen=True)
@@ -177,8 +197,7 @@ def build_correlation(ports: int, width: float) -> ToeplitzCorrelation:
     z = 2.0 * np.pi * n * width / (ports - 1)
     row = np.ones(ports)
     row[1:] = np.sin(z[1:]) / z[1:]
-    matrix = row[np.abs(n[:, None] - n[None, :])]
-    return ToeplitzCorrelation(size=int(ports), first_row=row, matrix=matrix)
+    return ToeplitzCorrelation(size=int(ports), first_row=row)
 
 
 def eigen_factor(corr: ToeplitzCorrelation) -> EigenFactor:
@@ -235,15 +254,66 @@ def sample_channels(factor: EigenFactor, sigma2: float, count: int, seed: int,
     return np.concatenate(blocks, axis=0)
 
 
+def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
+    """Leading eigenvalues, descending, of the symmetric Toeplitz matrix of row.
+
+    The result holds every eigenvalue at or above max(BLOCK_SIGNIFICANCE *
+    lambda_max, row[0]) and possibly some below; row[0] must be positive.
+    Products with the matrix go through its circulant embedding of size 2N,
+    whose spectrum is one real FFT of [row, 0, reversed row[1:]], so the
+    search costs O(N p log N) per step for p columns and never forms the
+    matrix. Block subspace iteration with Rayleigh-Ritz runs on p columns
+    (p = 8 from a fixed seed, so the result is deterministic) and stops
+    when every Ritz value theta_i >= thr / 2 has residual <= 1e-9 theta_1
+    and ||T||_F^2 - sum theta_i^2 < thr^2: Ritz values never exceed the
+    eigenvalues they interlace, so that bounds the sum of squares of
+    lambda_(p+1), ..., lambda_N below thr^2 and no eigenvalue beyond the p
+    found reaches thr. ||T||_F^2 = N r_0^2 + 2 sum_k (N - k) r_k^2 is exact
+    in O(N). Otherwise p doubles: the next block is the current Ritz vectors
+    times the matrix (one subspace-iteration step) plus p fresh random
+    columns. Once 2p >= N (tiny N, or a spectrum without a plunge) the
+    dense eigenvalues are returned instead.
+    """
+    n = row.size
+    r0 = float(row[0])
+    spectrum = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]])).real[:, None]
+    frobenius2 = n * r0 * r0 + 2.0 * float(np.dot(np.arange(n - 1, 0, -1), row[1:] ** 2))
+
+    def apply(x):
+        return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * spectrum, 2 * n, axis=0)[:n]
+
+    rng = np.random.default_rng(0)
+    p = _START_COLUMNS
+    x = rng.standard_normal((n, p))
+    while 2 * p < n:
+        q, _ = np.linalg.qr(x)
+        tq = apply(q)
+        h = q.T @ tq
+        theta, s = np.linalg.eigh(0.5 * (h + h.T))
+        theta, s = theta[::-1], s[:, ::-1]
+        tv = tq @ s
+        residual = np.linalg.norm(tv - (q @ s) * theta, axis=0)
+        threshold = max(BLOCK_SIGNIFICANCE * float(theta[0]), r0)
+        converged = np.all(residual[theta >= 0.5 * threshold] <= _RITZ_RESIDUAL * theta[0])
+        certified = frobenius2 - float(np.dot(theta, theta)) < threshold * threshold
+        if converged and certified:
+            return theta
+        x = np.hstack([tv, rng.standard_normal((n, p))])
+        p *= 2
+    return np.linalg.eigvalsh(toeplitz(row))[::-1]
+
+
 def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     """Condense a correlation matrix into a block model.
 
     The number of blocks B is the count of significant eigenvalues: those
     reaching both 1e-2 of the largest eigenvalue and the spectral average
-    trace/N. For the sinc kernel this recovers the familiar 2W+1 dominant
-    mode count (and B = N for an identity correlation). Sizes follow a
-    dominant-first allocation: L_1 = N - B + 1 and every other block keeps a
-    single port, so sum(L_b) = N exactly.
+    trace/N (the first row's lag-0 entry). For the sinc kernel this
+    recovers the familiar 2W+1 dominant mode count (and B = N for an
+    identity correlation). Only that leading part of the spectrum is
+    computed, matrix-free from the first row (_leading_eigenvalues). Sizes
+    follow a dominant-first allocation: L_1 = N - B + 1 and every other
+    block keeps a single port, so sum(L_b) = N exactly.
 
     The allocation is deliberately not eigenvalue-proportional. Near mu2 = 1
     each block is close to rank one, so B alone sets the effective diversity
@@ -259,13 +329,13 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     if not (0.0 < mu2 < 1.0):
         raise ValueError("mu2 must lie strictly inside (0, 1)")
     n = corr.size
-    vals = np.linalg.eigvalsh(corr.matrix)[::-1]
-    total = float(vals.sum())
-    if not (vals[0] > 0.0) or not (total > 0.0):
+    mean = float(corr.first_row[0])
+    vals = _leading_eigenvalues(corr.first_row) if mean > 0.0 else None
+    if vals is None or not (vals[0] > 0.0):
         warnings.warn("degenerate correlation spectrum; falling back to one block")
         return BlockModel(block_count=1, block_sizes=(n,), mu2=float(mu2))
 
-    threshold = max(BLOCK_SIGNIFICANCE * float(vals[0]), total / n)
+    threshold = max(BLOCK_SIGNIFICANCE * float(vals[0]), mean)
     # the relative slack keeps eigenvalues that sit on the threshold up to
     # round-off (an identity-like spectrum has all of them at the mean)
     b = int(np.sum(vals >= threshold * (1.0 - 1e-9)))
@@ -280,41 +350,44 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
 # Plain-text serialization
 # ============================================================================
 
-# Layout: `key=value` lines, then for the correlation matrix a `matrix:`
-# marker followed by one CSV row per matrix row. Floats are written with
+# Layout: `key=value` lines. A correlation is stored as its size and first
+# row, which define the whole Toeplitz matrix. Floats are written with
 # repr(), which round-trips binary doubles exactly.
 
 
 def save_correlation(corr: ToeplitzCorrelation, path) -> None:
     lines = [f"size={corr.size}",
-             "first_row=" + ",".join(repr(float(v)) for v in corr.first_row),
-             "matrix:"]
-    for row in corr.matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
+             "first_row=" + ",".join(repr(float(v)) for v in corr.first_row)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_correlation(path) -> ToeplitzCorrelation:
+    """Read a saved correlation.
+
+    Files written before the matrix was dropped from the layout end with a
+    `matrix:` marker and one CSV row per matrix row; such a block is
+    accepted only if it is the Toeplitz matrix of the stored first row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = {}
-    rows = []
-    in_matrix = False
+    rows = None
     for ln in lines:
-        if in_matrix:
+        if rows is not None:
             rows.append([float(v) for v in ln.split(",")])
         elif ln.strip() == "matrix:":
-            in_matrix = True
+            rows = []
         else:
             key, _, val = ln.partition("=")
             header[key.strip()] = val
-    size = int(header["size"])
     first_row = np.array([float(v) for v in header["first_row"].split(",")])
-    matrix = np.array(rows)
-    if matrix.shape != (size, size) or first_row.shape != (size,):
-        raise ValueError("correlation file is inconsistent with its declared size")
-    return ToeplitzCorrelation(size=size, first_row=first_row, matrix=matrix)
+    corr = ToeplitzCorrelation(size=int(header["size"]), first_row=first_row)
+    if rows is not None and not (
+            all(len(r) == corr.size for r in rows)
+            and np.array_equal(np.array(rows), corr.matrix)):
+        raise ValueError("correlation file's matrix is not the Toeplitz matrix of its first row")
+    return corr
 
 
 def save_block_model(model: BlockModel, path) -> None:

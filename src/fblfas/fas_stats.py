@@ -324,7 +324,17 @@ def block_cdf_factor(mu2, size, t, rule: QuadratureRule | None = None) -> float:
 
 
 def block_cdf_factor_adaptive(mu2, size, t, tol: float = 1e-10) -> float:
-    """Adaptive-quadrature oracle for block_cdf_factor."""
+    """Adaptive-quadrature oracle for block_cdf_factor.
+
+    For large size * lam the bracket's mass can sit in a layer at u = 0
+    narrower than the first Gauss-Kronrod nodes of a single folded panel,
+    which then report a converged but wrong value. The integral is therefore
+    cut at 10^k / (size * lam), k = 0..3, the scale of that layer (not the
+    split rule's edges, so the oracle stays independent of it), and each
+    finite piece plus the folded tail is integrated to its share of tol.
+    Cuts at u >= 1 are left out: a layer that wide is no narrower than the
+    e^(-u) weight, which the folded panel resolves.
+    """
     x, lam_rate, size = _block_args(mu2, size, t)
 
     def integrand(u):
@@ -332,9 +342,11 @@ def block_cdf_factor_adaptive(mu2, size, t, tol: float = 1e-10) -> float:
             return 0.0
         return math.exp(-u) * ncx2_cdf(x, lam_rate * u) ** size
 
-    res = integrate_adaptive(integrand, 0.0, math.inf, tol=tol)
-    if not res.converged:
-        raise NumericError(
-            f"adaptive block factor did not converge (error estimate {res.error_estimate:.3e})"
-        )
-    return res.value
+    cuts = [c for c in (10.0 ** k / (size * lam_rate) for k in range(4)) if c < 1.0]
+    edges = [0.0] + cuts + [math.inf]
+    pieces = [integrate_adaptive(integrand, lo, hi, tol=tol / (len(edges) - 1))
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    if not all(res.converged for res in pieces):
+        error = sum(res.error_estimate for res in pieces)
+        raise NumericError(f"adaptive block factor did not converge (error estimate {error:.3e})")
+    return math.fsum(res.value for res in pieces)

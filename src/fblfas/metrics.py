@@ -55,30 +55,6 @@ def _exponent_table(users: int) -> tuple:
     return tuple(combinatorial_exponent(users, k) for k in range(users + 1))
 
 
-@dataclass(frozen=True)
-class BlerTerms:
-    """Per-codeword-count pieces of the union bound.
-
-    exponents[k] = 2 ln C(users, k); zero at both ends and symmetric about
-    users/2 by construction.
-    """
-
-    users: int
-    blocklength: int
-    exponents: tuple
-
-    @classmethod
-    def build(cls, users, blocklength) -> "BlerTerms":
-        users = _positive_int("users", users)
-        blocklength = _positive_int("blocklength", blocklength)
-        return cls(users=users, blocklength=blocklength, exponents=_exponent_table(users))
-
-    @staticmethod
-    def interference_variance(active, codeword_variance, gain) -> float:
-        """Variance 2 U' sigma_c^2 gain of the interfering-codeword sum."""
-        return 2.0 * active * codeword_variance * gain
-
-
 def _bler_params(users, blocklength, codeword_variance, noise_variance):
     users = _positive_int("users", users)
     blocklength = _positive_int("blocklength", blocklength)

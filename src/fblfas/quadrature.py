@@ -32,7 +32,6 @@ __all__ = [
     "JacobiTridiagonal",
     "gauss_laguerre",
     "gauss_legendre",
-    "integrate_exp_weight",
     "tridiag_eigen",
     "integrate_adaptive",
     "AdaptiveResult",
@@ -143,16 +142,6 @@ def _call_on_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(f(v)) for v in x])
-
-
-def integrate_exp_weight(f: Callable, rule: QuadratureRule) -> float:
-    """Apply a Gauss-Laguerre rule: sum_i w_i f(x_i)."""
-    fx = _call_on_nodes(f, rule.nodes)
-    bad = ~np.isfinite(fx)
-    if np.any(bad):
-        node = rule.nodes[bad][0]
-        raise NumericError(f"integrand returned a non-finite value at node x={node!r}")
-    return float(np.dot(rule.weights, fx))
 
 
 # ============================================================================

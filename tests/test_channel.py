@@ -168,7 +168,8 @@ class TestFitBlockModel:
     def test_identity_correlation_all_singletons(self):
         row = np.zeros(6)
         row[0] = 1.0
-        exact = ToeplitzCorrelation(size=6, first_row=row, matrix=np.eye(6))
+        exact = ToeplitzCorrelation(size=6, first_row=row)
+        assert np.array_equal(exact.matrix, np.eye(6))
         model = fit_block_model(exact, 0.5)
         assert model.block_count == 6
         assert model.block_sizes == (1,) * 6
@@ -191,12 +192,38 @@ class TestFitBlockModel:
         assert model.block_count == len(model.block_sizes)
 
     def test_degenerate_spectrum_falls_back(self):
-        zero = ToeplitzCorrelation(size=3, first_row=np.zeros(3),
-                                   matrix=np.zeros((3, 3)))
+        zero = ToeplitzCorrelation(size=3, first_row=np.zeros(3))
         with pytest.warns(UserWarning, match="degenerate"):
             model = fit_block_model(zero, 0.9)
         assert model.block_count == 1
         assert model.block_sizes == (3,)
+
+    # (N, W) grid of the dense oracle: tiny N that go straight to the dense
+    # path, the sinc plunge from W = 0.01 to 50, and W = (N-1)/2, where
+    # every lag sits on a sinc zero and the spectrum has no plunge
+    ORACLE_GRID = [(n, w) for n in (2, 3, 6, 11, 50, 200, 1000)
+                   for w in (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 10.0, 50.0)]
+    ORACLE_GRID += [(2000, w) for w in (0.01, 0.5, 3.0, 50.0)]
+    ORACLE_GRID += [(n, (n - 1) / 2) for n in (2, 3, 6, 11, 50, 200, 1000)]
+
+    def test_matches_dense_oracle(self):
+        for n, w in self.ORACLE_GRID:
+            corr = build_correlation(n, w)
+            model = fit_block_model(corr, 0.97)
+            assert "matrix" not in corr.__dict__
+            vals = np.linalg.eigvalsh(corr.matrix)[::-1]
+            threshold = max(1e-2 * vals[0], vals.sum() / n)
+            b = int(np.sum(vals >= threshold * (1.0 - 1e-9)))
+            assert model.block_count == b, (n, w)
+            assert model.block_sizes == (n - b + 1,) + (1,) * (b - 1), (n, w)
+
+    def test_large_fit_never_builds_the_matrix(self):
+        corr = build_correlation(100_000, 1.0)
+        model = fit_block_model(corr, 0.97)
+        assert "matrix" not in corr.__dict__
+        # the 2W+1 = 3 dominant modes and a fourth above 1e-2 of the largest
+        assert model.block_count == 4
+        assert model.ports == 100_000
 
     def test_mu2_validation(self):
         corr = build_correlation(10, 0.5)
@@ -214,6 +241,9 @@ class TestSerialization:
         corr = build_correlation(12, 0.7)
         path = tmp_path / "corr.txt"
         save_correlation(corr, path)
+        # the first row defines the matrix; no N^2 floats are written
+        assert [ln.partition("=")[0] for ln in path.read_text().splitlines()] == [
+            "size", "first_row"]
         back = load_correlation(path)
         assert back.size == corr.size
         assert np.array_equal(back.first_row, corr.first_row)
@@ -230,7 +260,24 @@ class TestSerialization:
         corr = build_correlation(4, 0.5)
         path = tmp_path / "corr.txt"
         save_correlation(corr, path)
-        text = path.read_text().splitlines()
-        path.write_text("\n".join(text[:-1]) + "\n")  # drop the last row
+        size, row = path.read_text().splitlines()
+        path.write_text(size + "\n" + row.rpartition(",")[0] + "\n")  # drop the last lag
         with pytest.raises(ValueError):
             load_correlation(path)
+
+    def test_stored_matrix_must_match_first_row(self, tmp_path):
+        # files that still carry a `matrix:` block load only when it is the
+        # Toeplitz matrix of the first row
+        corr = build_correlation(4, 0.5)
+        path = tmp_path / "corr.txt"
+        save_correlation(corr, path)
+        header = path.read_text()
+        rows = [",".join(repr(float(v)) for v in r) for r in corr.matrix]
+        path.write_text(header + "matrix:\n" + "\n".join(rows) + "\n")
+        assert np.array_equal(load_correlation(path).matrix, corr.matrix)
+        for bad in (rows[:-1],  # a row short
+                    rows[:-1] + [rows[-1].rpartition(",")[0]],  # a value short
+                    rows[:-1] + ["0.5," + rows[-1].partition(",")[2]]):  # a wrong value
+            path.write_text(header + "matrix:\n" + "\n".join(bad) + "\n")
+            with pytest.raises(ValueError):
+                load_correlation(path)

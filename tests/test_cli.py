@@ -173,10 +173,17 @@ class TestSweepCommands:
             assert abs(row[1] - row[2]) < 5.0 * row[3] + 0.2
             assert row[3] > 0.0
 
-    def test_bler_vs_n_port_cap(self, capsys):
-        code, _, err = run_cli(capsys, ["bler-vs-n", "--ports", "6000"])
-        assert code == 2
-        assert "capped" in err
+    def test_bler_vs_w_large_port_count(self, capsys):
+        # the block fit is matrix-free, so analytic sweeps take N far past
+        # what a dense eigensolve would allow
+        code, out, err = run_cli(capsys, [
+            "bler-vs-w", "--ports", "20000", "--widths", "0.5", "--mrc", "1",
+            "--mrc-trials", "1000"])
+        assert code == 0
+        assert err == ""
+        _, header, rows = parse_csv(out)
+        assert header == ["width", "fas", "mrc_L1"]
+        assert 0.0 < rows[0][1] <= 1.0
 
     def test_op_vs_u_columns(self, capsys):
         code, out, _ = run_cli(capsys, [

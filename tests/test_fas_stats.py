@@ -23,7 +23,7 @@ from fblfas.fas_stats import (
     pdf_gfas,
     quantile,
 )
-from fblfas.quadrature import gauss_laguerre, integrate_exp_weight
+from fblfas.quadrature import gauss_laguerre
 from fblfas.specfun import ncx2_cdf
 
 # mpmath, dps=30, sigma^2 = 2 reference scale
@@ -55,8 +55,8 @@ class TestBlockFactor:
 
     def test_fixed_order_error_profile(self):
         # the order-32 rule stays exact as mu^2 -> 1; at strong correlation
-        # the gaps measured here (5e-14 to 4e-11, the largest at 0.9409) are
-        # the oracle's own 1e-10 tolerance, so the budget is ten times that;
+        # the gaps measured here (5e-14 to 1.4e-13) sit far inside the
+        # oracle's own 1e-10 tolerance, and the budget is ten times that;
         # a Laguerre sum that does not resolve the bracket shows at 1e-3..1e-2
         grid = np.linspace(0.2, 20.0, 50)
         budgets = {0.01: 1e-10, 0.25: 1e-10, 0.81: 1e-9, 0.9409: 1e-9, 0.97: 1e-9,
@@ -90,7 +90,8 @@ class TestBlockFactor:
         for mu2, size, t in ((0.25, 2, 0.5), (0.25, 3, 4.0), (0.01, 9, 1.0)):
             x = t / (1.0 - mu2)
             lam_rate = 2.0 * mu2 / (1.0 - mu2)
-            want = integrate_exp_weight(lambda u: ncx2_cdf(x, lam_rate * u) ** size, rule)
+            bracket = np.array([ncx2_cdf(x, lam_rate * u) ** size for u in rule.nodes])
+            want = rule.weights @ bracket
             assert block_cdf_factor(mu2, size, t, rule=rule) == pytest.approx(want, rel=1e-13)
 
     def test_large_blocks_keep_relative_accuracy_in_the_tail(self):
@@ -102,6 +103,16 @@ class TestBlockFactor:
             got = block_cdf_factor(mu2, size, t)
             want = block_cdf_factor_adaptive(mu2, size, t, tol=1e-12 * got)
             assert got == pytest.approx(want, rel=1e-9), (mu2, size, t)
+
+    def test_adaptive_resolves_the_layer_at_zero(self):
+        # at large size * lam and small t the factor's mass sits in a layer
+        # at u = 0 narrower than one folded Gauss-Kronrod panel's first node;
+        # a single panel reported a converged 1.30e-137 here. Reference:
+        # scipy quad at relative tolerance 1e-12, cut at the layer's scale.
+        want = 6.969377403597174e-121
+        got = block_cdf_factor_adaptive(0.97, 497, 0.0526, tol=1e-12 * want)
+        assert got == pytest.approx(want, rel=1e-10)
+        assert block_cdf_factor(0.97, 497, 0.0526) == pytest.approx(got, rel=1e-10)
 
     def test_singleton_factor_in_closed_form(self):
         for mu2 in (0.1, 0.97):

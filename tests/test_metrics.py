@@ -15,7 +15,6 @@ import pytest
 from fblfas.channel import BlockModel, SystemConfig, build_correlation, fit_block_model
 from fblfas.fas_stats import GainDistribution, block_cdf_factor, block_cdf_factor_adaptive
 from fblfas.metrics import (
-    BlerTerms,
     codeword_correlation,
     combinatorial_exponent,
     conditional_bler,
@@ -66,20 +65,6 @@ class TestCombinatorialExponent:
             combinatorial_exponent(4, 5)
         with pytest.raises(ValueError):
             combinatorial_exponent(4, -1)
-
-
-class TestBlerTerms:
-    def test_build_exponent_table(self):
-        terms = BlerTerms.build(users=6, blocklength=10)
-        assert terms.users == 6
-        assert len(terms.exponents) == 7
-        assert terms.exponents[0] == 0.0
-        assert terms.exponents[6] == 0.0
-        np.testing.assert_allclose(terms.exponents, terms.exponents[::-1], rtol=1e-13)
-
-    def test_interference_variance(self):
-        assert BlerTerms.interference_variance(3, 0.2, 5.0) == pytest.approx(6.0)
-        assert BlerTerms.interference_variance(0, 0.2, 5.0) == 0.0
 
 
 class TestConditionalBler:
