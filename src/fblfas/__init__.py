@@ -65,6 +65,7 @@ from .montecarlo import (
     McEstimate,
     empirical_gain_cdf,
     empirical_outage,
+    empirical_outage_sweep,
     empirical_statistical_bler,
 )
 
@@ -95,6 +96,7 @@ __all__ = [
     "eigen_factor",
     "empirical_gain_cdf",
     "empirical_outage",
+    "empirical_outage_sweep",
     "empirical_statistical_bler",
     "fit_block_model",
     "gauss_laguerre",

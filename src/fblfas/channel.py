@@ -7,12 +7,19 @@ distance of n spacings apart is the unnormalized sinc
     a(n) = sin(z)/z,    z = 2 pi n W / (N - 1),
 
 which stacks into a symmetric Toeplitz correlation matrix. Channels are
-drawn through the eigenvalue factorization g = Q Lambda^(1/2) g0 with g0
-i.i.d. circular complex Gaussian, and the correlation structure is
-condensed into a small block model (per-block size L_b, shared intra-block
-correlation mu^2) for the analytical distribution work. The block fit is
-matrix-free: it finds the leading eigenvalues from the first row alone, so
-only the Monte Carlo factorization ever builds the N x N matrix.
+drawn through the eigenvalue factorization g = Q_r Lambda_r^(1/2) g0,
+restricted to the r eigenvalues that survive the round-off clip: g0 holds
+r i.i.d. circular complex Gaussians, not N. The sinc kernel's spectrum
+plunges after about 2W + 1 dominant modes (the discrete prolate spheroidal
+spectrum) and drops below the clip a few modes later, so r is 7 at W = 0.5
+for any N from 10 to 1000 and 16 at N = 1000, W = 3, and each draw costs
+O(rN) instead of O(N^2); the clipped columns contribute exactly zero, so
+the channel's distribution is the same. The correlation structure is
+condensed into a small block model (per-block size L_b, shared
+intra-block correlation mu^2) for the analytical distribution work. The
+block fit is matrix-free: it finds the leading eigenvalues from the first
+row alone, so only the Monte Carlo factorization ever builds the N x N
+matrix.
 """
 
 from __future__ import annotations
@@ -53,10 +60,18 @@ EIGENVALUE_CLIP = 1e-12
 # of ports.
 BLOCK_SIGNIFICANCE = 1e-2
 
-# Leading-spectrum search (_leading_eigenvalues): start block size and Ritz
-# residual target relative to the largest Ritz value.
+# Channel draws are formed in blocks of about this many port entries
+# (max(1, _DRAW_ENTRIES // N) draws, 512 KiB of real and imaginary parts), so
+# a chunk never holds its whole count x N channel array and each block stays
+# in cache while it is reduced.
+_DRAW_ENTRIES = 1 << 15
+
+# Leading-spectrum search (_leading_eigenvalues): start block size, Ritz
+# residual target relative to the largest Ritz value, and the share of N
+# that significant Ritz values must reach for the dense solve to take over.
 _START_COLUMNS = 8
 _RITZ_RESIDUAL = 1e-9
+_DENSE_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -159,8 +174,13 @@ class EigenFactor:
 
     @property
     def factor(self) -> np.ndarray:
-        """Q Lambda^(1/2), the sampling matrix."""
-        return self.eigenvectors * np.sqrt(self.eigenvalues)[None, :]
+        """Q_r Lambda_r^(1/2), the N x r sampling matrix.
+
+        Only the r columns whose eigenvalues were not clipped to zero are
+        kept; the others contribute nothing to any draw.
+        """
+        rank = int(np.count_nonzero(self.eigenvalues))
+        return self.eigenvectors[:, :rank] * np.sqrt(self.eigenvalues[:rank])[None, :]
 
 
 @dataclass(frozen=True)
@@ -221,19 +241,36 @@ def _identity_factor(ports: int) -> EigenFactor:
     return EigenFactor(eigenvectors=np.eye(ports), eigenvalues=np.ones(ports))
 
 
-def _draw_g0(rng: np.random.Generator, count: int, ports: int, sigma2: float):
-    z = rng.standard_normal((2, count, ports))
-    scale = math.sqrt(0.5 * sigma2)
-    return scale * (z[0] + 1j * z[1])
+def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
+                    sigma2: float):
+    """Yield (start, block) over count channel draws, a few at a time.
+
+    factor_t is the r x N transposed sampling matrix. Each draw takes 2r
+    standard normals in turn, the real parts of its r mode weights and then
+    the imaginary ones, so the stream does not depend on the block size.
+    Both parts come from one real product of the stacked weights with the
+    factor, never a complex one; a block is a (rows, 2, N) array of the real
+    and imaginary parts of draws start, start + 1, ...
+    """
+    rank, ports = factor_t.shape
+    scaled = np.ascontiguousarray(math.sqrt(0.5 * sigma2) * factor_t)
+    step = max(1, _DRAW_ENTRIES // ports)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
+        z = rng.standard_normal((2 * rows, rank))
+        yield start, (z @ scaled).reshape(rows, 2, ports)
 
 
 def sample_channels(factor: EigenFactor, sigma2: float, count: int, seed: int,
                     workers=None) -> np.ndarray:
-    """Draw correlated channel vectors g = Q Lambda^(1/2) g0.
+    """Draw correlated channel vectors g = Q_r Lambda_r^(1/2) g0.
 
-    g0 has i.i.d. circular complex Gaussian entries of variance sigma2
-    (split evenly between real and imaginary parts), so each port's |g_k|^2
-    is exponential with mean sigma2.
+    g0 holds r i.i.d. circular complex Gaussian mode weights of variance
+    sigma2 (split evenly between real and imaginary parts), one per
+    eigenvalue kept by the factor, so each port's |g_k|^2 is exponential
+    with mean sigma2. Real and imaginary parts are real products with the
+    N x r factor, so a draw costs O(rN), not O(N^2). This is the library's
+    one sampling path: montecarlo's gain draws go through the same kernel.
 
     Returns a (count, N) complex array. Draws are organized in fixed-size
     chunks keyed by (seed, chunk index), so the output is bit-identical for
@@ -243,12 +280,15 @@ def sample_channels(factor: EigenFactor, sigma2: float, count: int, seed: int,
         raise ValueError("sigma2 must be positive and finite")
     if count < 1:
         raise ValueError("count must be >= 1")
-    A_t = factor.factor.T
-    ports = A_t.shape[0]
+    factor_t = factor.factor.T
 
     def task(index, size):
-        g0 = _draw_g0(parallel.chunk_rng(seed, index), size, ports, sigma2)
-        return g0 @ A_t
+        out = np.empty((size, factor_t.shape[1]), dtype=complex)
+        rng = parallel.chunk_rng(seed, index)
+        for start, g in _channel_blocks(rng, size, factor_t, sigma2):
+            rows = out[start:start + len(g)]
+            rows.real, rows.imag = g[:, 0], g[:, 1]
+        return out
 
     blocks = parallel.run_chunks(task, count, workers)
     return np.concatenate(blocks, axis=0)
@@ -271,8 +311,12 @@ def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
     found reaches thr. ||T||_F^2 = N r_0^2 + 2 sum_k (N - k) r_k^2 is exact
     in O(N). Otherwise p doubles: the next block is the current Ritz vectors
     times the matrix (one subspace-iteration step) plus p fresh random
-    columns. Once 2p >= N (tiny N, or a spectrum without a plunge) the
-    dense eigenvalues are returned instead.
+    columns. The dense eigenvalues are returned instead once 2p >= N (tiny
+    N), or once N / 8 Ritz values reach thr: as many eigenvalues do, so
+    certifying needs blocks of N / 4 columns or more, and one step on those
+    costs about half the dense eigvalsh already (N = 1000 to 3000, one
+    thread). That cuts short spectra without a plunge (W near (N - 1) / 2,
+    near-identity rows).
     """
     n = row.size
     r0 = float(row[0])
@@ -298,6 +342,9 @@ def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
         certified = frobenius2 - float(np.dot(theta, theta)) < threshold * threshold
         if converged and certified:
             return theta
+        significant = np.count_nonzero(theta >= threshold * (1.0 - 1e-9))
+        if _DENSE_SHARE * significant >= n:
+            break
         x = np.hstack([tv, rng.standard_normal((n, p))])
         p *= 2
     return np.linalg.eigvalsh(toeplitz(row))[::-1]

@@ -41,13 +41,13 @@ from .metrics import (
     outage_probability,
     statistical_bler,
 )
-from .montecarlo import empirical_gain_cdf, empirical_outage, empirical_statistical_bler
+from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler
 from .quadrature import gauss_laguerre
 
-# Monte Carlo draws factor the dense N x N correlation matrix (one
-# eigendecomposition, then N^2 work per draw), so exact-channel overlays stop
-# at this port count; analytic curves fit the block model matrix-free and
-# take any N.
+# Monte Carlo draws factor the dense N x N correlation matrix (one dense
+# eigendecomposition, then rank x N work per draw), so exact-channel overlays
+# stop at this port count; analytic curves fit the block model matrix-free
+# and take any N.
 MAX_MC_PORTS = 1000
 
 
@@ -333,11 +333,9 @@ def _cmd_op_vs_snr(args) -> PerformanceCurve:
             return outage_probability(cfg, _d)
         series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
         if args.mc_samples:
-            def mc(snr, _n=ports):
-                cfg = _system_config(args, _n, args.width, args.users, float(snr),
-                                     gamma_th=args.gamma_th)
-                return empirical_outage(cfg, args.mc_samples, args.seed)
-            ests = _map_points(mc, sweep)
+            configs = [_system_config(args, ports, args.width, args.users, float(snr),
+                                      gamma_th=args.gamma_th) for snr in sweep]
+            ests = empirical_outage_sweep(configs, args.mc_samples, args.seed)
             series[f"mc_N{ports}"] = tuple(e.value for e in ests)
             series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
     for branches in args.mrc:
@@ -362,11 +360,9 @@ def _cmd_op_vs_u(args) -> PerformanceCurve:
             return outage_probability(cfg, _d)
         series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
         if args.mc_samples:
-            def mc(u, _n=ports):
-                cfg = _system_config(args, _n, args.width, int(u), args.snr_db,
-                                     gamma_th=args.gamma_th)
-                return empirical_outage(cfg, args.mc_samples, args.seed)
-            ests = _map_points(mc, sweep)
+            configs = [_system_config(args, ports, args.width, int(u), args.snr_db,
+                                      gamma_th=args.gamma_th) for u in sweep]
+            ests = empirical_outage_sweep(configs, args.mc_samples, args.seed)
             series[f"mc_N{ports}"] = tuple(e.value for e in ests)
             series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
     for branches in args.mrc:

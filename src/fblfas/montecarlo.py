@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import parallel
 from .channel import (
     SystemConfig,
-    _draw_g0,
+    _channel_blocks,
     _identity_factor,
     build_correlation,
     eigen_factor,
@@ -52,19 +53,33 @@ def _checked_samples(samples) -> int:
     return int(samples)
 
 
+@lru_cache(maxsize=4)
 def _factor_transpose(ports, width) -> np.ndarray:
-    """Transposed sampling matrix; a single port skips the spacing rule."""
+    """Transposed r x N sampling matrix; a single port skips the spacing rule.
+
+    Memoised per (ports, width), since every point of a sweep over users or
+    SNR draws through the same factor; the array is read-only because every
+    caller shares it.
+    """
     if not isinstance(ports, (int, np.integer)) or ports < 1:
         raise ValueError("ports must be a positive integer")
     if ports == 1:
-        return _identity_factor(1).factor.T
-    return eigen_factor(build_correlation(int(ports), width)).factor.T
+        factor = _identity_factor(1).factor
+    else:
+        factor = eigen_factor(build_correlation(int(ports), width)).factor
+    factor_t = factor.T
+    factor_t.flags.writeable = False
+    return factor_t
 
 
-def _max_gains(index, size, A_t, sigma2, seed) -> np.ndarray:
-    g0 = _draw_g0(parallel.chunk_rng(seed, index), size, A_t.shape[0], sigma2)
-    g = g0 @ A_t
-    return np.max(g.real ** 2 + g.imag ** 2, axis=1)
+def _max_gains(index, size, factor_t, sigma2, seed) -> np.ndarray:
+    """max_k |g_k|^2 of each draw of chunk `index`, formed block by block."""
+    gains = np.empty(size)
+    rng = parallel.chunk_rng(seed, index)
+    for start, g in _channel_blocks(rng, size, factor_t, sigma2):
+        np.square(g, out=g)
+        gains[start:start + len(g)] = np.max(g[:, 0] + g[:, 1], axis=1)
+    return gains
 
 
 def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None):
@@ -82,10 +97,10 @@ def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None
         raise ValueError("t_grid must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0.0):
         raise ValueError("t_grid must be finite and non-decreasing")
-    A_t = _factor_transpose(ports, width)
+    factor_t = _factor_transpose(ports, width)
 
     def task(index, size):
-        gains = np.sort(_max_gains(index, size, A_t, sigma2, seed))
+        gains = np.sort(_max_gains(index, size, factor_t, sigma2, seed))
         return np.searchsorted(gains, grid, side="right")
 
     counts = np.sum(parallel.run_chunks(task, samples, workers), axis=0)
@@ -106,10 +121,10 @@ def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None
 def empirical_statistical_bler(config: SystemConfig, samples, seed, workers=None) -> McEstimate:
     """Mean clamped error bound at the simulated selected-port gain."""
     samples = _checked_samples(samples)
-    A_t = _factor_transpose(config.ports, config.antenna_length)
+    factor_t = _factor_transpose(config.ports, config.antenna_length)
 
     def task(index, size):
-        gains = _max_gains(index, size, A_t, config.channel_variance, seed)
+        gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
         vals = conditional_bler(
             config.users, config.blocklength, gains,
             config.codeword_variance, config.noise_variance,
@@ -135,10 +150,10 @@ def empirical_outage(config: SystemConfig, samples, seed, workers=None) -> McEst
     spec = outage_threshold(config)
     if spec.saturated:
         return McEstimate(value=1.0, standard_error=0.0, samples=samples, seed=int(seed))
-    A_t = _factor_transpose(config.ports, config.antenna_length)
+    factor_t = _factor_transpose(config.ports, config.antenna_length)
 
     def task(index, size):
-        gains = _max_gains(index, size, A_t, config.channel_variance, seed)
+        gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
         return int(np.count_nonzero(gains <= spec.t_th))
 
     hits = sum(parallel.run_chunks(task, samples, workers))
@@ -150,3 +165,33 @@ def empirical_outage(config: SystemConfig, samples, seed, workers=None) -> McEst
         seed=int(seed),
         low_hits=hits < _RELIABLE_HITS,
     )
+
+
+def empirical_outage_sweep(configs, samples, seed, workers=None) -> list:
+    """empirical_outage at every config, from one set of draws.
+
+    The configs must share the port count, the aperture and the channel
+    variance: the selected-port gain depends only on those and the seed, so
+    a sweep over users, SNR or gamma_th changes only the threshold t_th.
+    Each point's outage is then the empirical gain CDF at its t_th, read
+    from one empirical_gain_cdf pass over the distinct unsaturated
+    thresholds; saturated points are certain, as in empirical_outage. The
+    estimates equal per-point empirical_outage calls bit for bit.
+    """
+    samples = _checked_samples(samples)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("configs must not be empty")
+    first = configs[0]
+    channel = (first.ports, first.antenna_length, first.channel_variance)
+    if any((c.ports, c.antenna_length, c.channel_variance) != channel for c in configs):
+        raise ValueError("configs must share ports, antenna_length and channel_variance")
+    specs = [outage_threshold(c) for c in configs]
+    grid = sorted({s.t_th for s in specs if not s.saturated})
+    at = {}
+    if grid:
+        ests = empirical_gain_cdf(first.ports, first.antenna_length, first.channel_variance,
+                                  grid, samples, seed, workers)
+        at = dict(zip(grid, ests))
+    certain = McEstimate(value=1.0, standard_error=0.0, samples=samples, seed=int(seed))
+    return [certain if s.saturated else at[s.t_th] for s in specs]

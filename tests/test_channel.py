@@ -96,6 +96,14 @@ class TestEigenFactor:
         fac = eigen_factor(corr)
         np.testing.assert_allclose(fac.factor @ fac.factor.T, corr.matrix, atol=1e-10)
 
+    def test_factor_keeps_only_unclipped_columns(self):
+        # the sinc kernel at W = 0.5 has 7 eigenvalues above the clip, so
+        # draws need 7 complex Gaussians per sample, not 200
+        corr = build_correlation(200, 0.5)
+        factor = eigen_factor(corr).factor
+        assert factor.shape == (200, 7)
+        np.testing.assert_allclose(factor @ factor.T, corr.matrix, rtol=0, atol=1e-10)
+
     def test_eigenvalues_sorted_and_clipped(self):
         fac = eigen_factor(build_correlation(50, 0.5))
         assert np.all(np.diff(fac.eigenvalues) <= 0.0)

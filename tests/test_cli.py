@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fblfas.channel import SystemConfig
 from fblfas.cli import (
     PerformanceCurve,
     main,
@@ -11,6 +12,7 @@ from fblfas.cli import (
     parse_int_list,
     render_csv,
 )
+from fblfas.montecarlo import empirical_outage
 
 
 def run_cli(capsys, argv):
@@ -203,6 +205,44 @@ class TestSweepCommands:
         _, header, rows = parse_csv(out)
         assert header == ["snr_db", "fas_N5", "mrc_L1"]
         assert rows[1][1] < rows[0][1]  # outage falls with SNR
+
+    def test_op_vs_u_mc_equals_per_point_outage(self, capsys):
+        # one draw per port count serves the whole sweep; U = 20 is
+        # saturated, U = 3 repeats a threshold, 70,000 draws end in a
+        # ragged chunk
+        users = (3, 20, 2, 3)
+        code, out, err = run_cli(capsys, [
+            "op-vs-u", "--users", ",".join(map(str, users)), "--ports", "5,20",
+            "--width", "0.5", "--snr-db", "-15", "--gamma-th", "0.01",
+            "--mc-samples", "70000", "--mrc", "1", "--seed", "4"])
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        for ports in (5, 20):
+            value, se = header.index(f"mc_N{ports}"), header.index(f"mc_N{ports}_se")
+            for u, row in zip(users, rows):
+                cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=0.5, users=u,
+                                               blocklength=5, snr_db=-15.0,
+                                               outage_threshold=0.01)
+                est = empirical_outage(cfg, samples=70_000, seed=4)
+                assert (row[value], row[se]) == (est.value, est.standard_error)
+        assert rows[1][header.index("mc_N5")] == 1.0
+
+    def test_op_vs_snr_mc_equals_per_point_outage(self, capsys):
+        snrs = (-14.0, -18.0, -14.0)
+        code, out, err = run_cli(capsys, [
+            "op-vs-snr", "--snr-db=" + ",".join(map(str, snrs)), "--ports", "8",
+            "--users", "2", "--gamma-th", "0.01", "--mc-samples", "70000",
+            "--mrc", "1", "--seed", "9"])
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        value, se = header.index("mc_N8"), header.index("mc_N8_se")
+        for snr, row in zip(snrs, rows):
+            cfg = SystemConfig.from_snr_db(ports=8, antenna_length=0.5, users=2,
+                                           blocklength=5, snr_db=snr,
+                                           outage_threshold=0.01)
+            est = empirical_outage(cfg, samples=70_000, seed=9)
+            assert (row[value], row[se]) == (est.value, est.standard_error)
+            assert 0.0 < est.value < 1.0
 
 
 class TestConfigFile:

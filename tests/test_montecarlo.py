@@ -7,17 +7,28 @@ with the analytic chain within a few standard errors plus the known
 block-approximation slack.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fblfas.channel import SystemConfig, build_correlation, fit_block_model
+from fblfas import parallel
+from fblfas.channel import (
+    SystemConfig,
+    build_correlation,
+    eigen_factor,
+    fit_block_model,
+    sample_channels,
+)
 from fblfas.fas_stats import GainDistribution, cdf_gfas
 from fblfas.metrics import outage_threshold
 from fblfas.montecarlo import (
     McEstimate,
+    _factor_transpose,
+    _max_gains,
     empirical_gain_cdf,
     empirical_outage,
+    empirical_outage_sweep,
     empirical_statistical_bler,
 )
 from fblfas.quadrature import gauss_laguerre
@@ -156,3 +167,69 @@ class TestEmpiricalOutage:
         a = empirical_outage(cfg, samples=30_000, seed=19, workers=1)
         b = empirical_outage(cfg, samples=30_000, seed=19, workers=8)
         assert a == b
+
+
+class TestSamplingPath:
+    def test_max_gains_follow_sample_channels(self):
+        # one sampling path: the gains montecarlo reduces are those of the
+        # channels sample_channels returns for the same seed (two chunks,
+        # many draw blocks each)
+        g = sample_channels(eigen_factor(build_correlation(50, 1.0)), 2.0, 70_000, seed=13)
+        want = np.max(g.real ** 2 + g.imag ** 2, axis=1)
+        factor_t = _factor_transpose(50, 1.0)
+        got = np.concatenate(parallel.run_chunks(
+            lambda index, size: _max_gains(index, size, factor_t, 2.0, 13), 70_000))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_factor_is_memoised_read_only(self):
+        a = _factor_transpose(30, 0.7)
+        assert _factor_transpose(30, 0.7) is a
+        assert not a.flags.writeable
+        np.testing.assert_array_equal(a, eigen_factor(build_correlation(30, 0.7)).factor.T)
+
+    def test_outage_memory_stays_bounded(self):
+        # 65,536 draws at N = 1000 are 1 GiB as one complex channel array;
+        # the draws are reduced block by block instead
+        cfg = SystemConfig(ports=1000, antenna_length=0.5, users=2, blocklength=5,
+                           channel_variance=2.0, noise_variance=50.0,
+                           outage_threshold=0.01)
+        _factor_transpose.cache_clear()
+        tracemalloc.start()
+        try:
+            empirical_outage(cfg, samples=65_536, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestEmpiricalOutageSweep:
+    @staticmethod
+    def configs(users, gamma_th=0.01):
+        return [SystemConfig.from_snr_db(ports=6, antenna_length=0.5, users=u,
+                                         blocklength=5, snr_db=-15.0,
+                                         outage_threshold=gamma_th)
+                for u in users]
+
+    def test_equals_per_point_outage(self):
+        # U = 20 is saturated, U = 3 appears twice (one threshold for two
+        # points), and 70,000 draws end in a ragged chunk
+        configs = self.configs((3, 20, 2, 3))
+        assert outage_threshold(configs[1]).saturated
+        got = empirical_outage_sweep(configs, samples=70_000, seed=4)
+        assert got == [empirical_outage(c, samples=70_000, seed=4) for c in configs]
+        assert got[1] == McEstimate(value=1.0, standard_error=0.0, samples=70_000, seed=4)
+
+    def test_all_saturated_draws_nothing(self):
+        got = empirical_outage_sweep(self.configs((20, 30)), samples=5000, seed=1)
+        assert [e.value for e in got] == [1.0, 1.0]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            empirical_outage_sweep([], samples=5000, seed=1)
+        with pytest.raises(ValueError):
+            empirical_outage_sweep(self.configs((2,)), samples=999, seed=1)
+        mixed = self.configs((2,)) + [SystemConfig.from_snr_db(
+            ports=7, antenna_length=0.5, users=2, blocklength=5, snr_db=-15.0)]
+        with pytest.raises(ValueError):
+            empirical_outage_sweep(mixed, samples=5000, seed=1)
