@@ -7,6 +7,14 @@ port count, and aperture width (``bler-vs-*``), outage sweeps over SNR and
 user count (``op-vs-*``), and the quadrature-versus-oracle diagnostic
 (``quad-check``).
 
+The six ``bler-vs-*`` and ``op-vs-*`` subcommands are rows of one table
+(``_SWEEPS``) run by one sweep engine (``_sweep``). It builds the system
+config of every point and evaluates each distinct config once: a repeated
+sweep value, or the single-antenna MRC benchmark that every port count
+shares, costs one evaluation. Monte Carlo overlays stop at MAX_MC_PORTS on
+every subcommand, with NaN cells past it; outage overlays draw once per
+port count, error-bound overlays still draw per point.
+
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
 for byte. Values use 17 significant digits and round-trip binary doubles
@@ -18,6 +26,7 @@ results do not depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -170,6 +179,16 @@ def _map_points(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
+def _once(fn, items) -> dict:
+    """{item: fn(item)}, each distinct item evaluated once through _map_points.
+
+    Every metric here is a deterministic function of its config, given the
+    run's seed and flags, so a repeated config may share one evaluation.
+    """
+    distinct = list(dict.fromkeys(items))
+    return dict(zip(distinct, _map_points(fn, distinct)))
+
+
 def _gain_distribution(ports, width, mu2, sigma2, order) -> GainDistribution:
     if ports == 1:
         model = BlockModel(block_count=1, block_sizes=(1,), mu2=mu2)
@@ -179,7 +198,8 @@ def _gain_distribution(ports, width, mu2, sigma2, order) -> GainDistribution:
                             rule=gauss_laguerre(order))
 
 
-def _system_config(args, ports, width, users, snr_db, gamma_th=None) -> SystemConfig:
+def _system_config(args, ports, width, users, snr_db) -> SystemConfig:
+    gamma_th = getattr(args, "gamma_th", None)
     kwargs = {} if gamma_th is None else {"outage_threshold": gamma_th}
     return SystemConfig.from_snr_db(
         ports=ports, antenna_length=width, users=users,
@@ -212,166 +232,117 @@ def _cmd_dist(args) -> PerformanceCurve:
     return PerformanceCurve("t", tuple(float(t) for t in grid), series, _metadata(args))
 
 
-def _mrc_bler_series(args, users_of, sweep) -> dict:
-    out = {}
+@dataclass(frozen=True)
+class _Sweep:
+    """One row of the sweep table: a bler-vs-* or op-vs-* subcommand.
+
+    column names the swept CSV column and the _system_config keyword that
+    its values set; option is the dest holding the swept values; outage
+    selects the outage probability over the error bound. defaults gives the
+    default text of each sweep flag the subcommand takes besides
+    --blocklength.
+    """
+
+    help: str
+    column: str
+    option: str
+    outage: bool
+    defaults: dict
+
+    @property
+    def per_port(self) -> bool:
+        """One curve per port count, unless the array geometry is swept."""
+        return self.column not in ("ports", "width")
+
+
+_SWEEPS = {
+    "bler-vs-u": _Sweep(
+        "statistical error bound swept over the user count", "users", "users", False,
+        {"users": "1:20", "ports": "5,50", "width": "1", "snr_db": "20"}),
+    "bler-vs-snr": _Sweep(
+        "statistical error bound swept over SNR", "snr_db", "snr_db", False,
+        {"snr_db": "0:30:2", "ports": "5,50,1000", "width": "0.5", "users": "10"}),
+    "bler-vs-n": _Sweep(
+        "statistical error bound swept over the port count", "ports", "ports", False,
+        {"ports": "5,10,20,50,100,200,500,1000,2000,5000", "width": "1", "users": "10",
+         "snr_db": "12"}),
+    "bler-vs-w": _Sweep(
+        "statistical error bound swept over the aperture length", "width", "widths", False,
+        {"widths": "0.1:1:0.1", "ports": "5000", "users": "10", "snr_db": "12"}),
+    "op-vs-snr": _Sweep(
+        "outage probability swept over SNR", "snr_db", "snr_db", True,
+        {"snr_db": "-40:-10:2", "ports": "5,50,500", "width": "0.5", "users": "20",
+         "gamma_th": "1e-3"}),
+    "op-vs-u": _Sweep(
+        "outage probability swept over the user count", "users", "users", True,
+        {"users": "2:20", "ports": "5,50,500,1000", "width": "0.5", "snr_db": "-35",
+         "gamma_th": "1e-4"}),
+}
+
+# Sweep flags: dest -> (value type, help as a single value, help as a list).
+# The swept option, and --ports where each port count draws a curve, take
+# comma-separated lists.
+_SWEEP_FLAGS = {
+    "users": (int, "user count U", "user counts"),
+    "ports": (int, "port count N", "port counts"),
+    "width": (float, "aperture length W in wavelengths", None),
+    "widths": (float, None, "aperture lengths"),
+    "snr_db": (float, "SNR in dB", "SNR values in dB"),
+    "blocklength": (int, "blocklength M", None),
+    "gamma_th": (float, "SINR outage threshold", None),
+}
+
+
+def _sweep(row, args) -> PerformanceCurve:
+    """Run one sweep subcommand, evaluating each distinct point once.
+
+    Columns are fas, then mc and mc_se when --mc-samples is set, suffixed
+    _N{n} per port count where row.per_port, then one mrc_L{l} column per
+    branch count on a single antenna (ports = 1). Repeated sweep values and
+    the MRC config that every port count shares are evaluated once. Monte
+    Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
+    """
+    values = getattr(args, row.option)
+    fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
+
+    def configs(**settings):
+        return [_system_config(args, **{**fixed, row.column: v, **settings}) for v in values]
+
+    curves = ({f"_N{n}": configs(ports=n) for n in args.ports} if row.per_port
+              else {"": configs()})
+    points = [c for cs in curves.values() for c in cs]
+    dists = _once(lambda key: _gain_distribution(*key, args.mu2, args.sigma2, args.quad_order),
+                  [(c.ports, c.antenna_length) for c in points])
+    metric = outage_probability if row.outage else statistical_bler
+    fas = _once(lambda c: metric(c, dists[c.ports, c.antenna_length]), points)
+    mc = {}
+    if args.mc_samples and row.outage:
+        # outage sweeps draw a curve per port count, all on one channel, so
+        # one set of draws serves every threshold of a curve
+        for cs in curves.values():
+            drawn = [c for c in cs if c.ports <= MAX_MC_PORTS]
+            if drawn:
+                mc.update(zip(drawn, empirical_outage_sweep(drawn, args.mc_samples, args.seed)))
+    elif args.mc_samples:
+        mc = _once(lambda c: empirical_statistical_bler(c, args.mc_samples, args.seed),
+                   [c for c in points if c.ports <= MAX_MC_PORTS])
+    mrc_configs = configs(ports=1)
+    pairs = [(branches, c) for branches in args.mrc for c in mrc_configs]
+    if row.outage:
+        bench = _once(lambda p: mrc_outage(*p), pairs)
+    else:
+        bench = _once(lambda p: mrc_conditional_bler(*p, args.mrc_trials, args.seed), pairs)
+    series = {}
+    for suffix, cs in curves.items():
+        series["fas" + suffix] = tuple(fas[c] for c in cs)
+        if args.mc_samples:
+            ests = [mc.get(c) for c in cs]
+            series["mc" + suffix] = tuple(math.nan if e is None else e.value for e in ests)
+            series[f"mc{suffix}_se"] = tuple(
+                math.nan if e is None else e.standard_error for e in ests)
     for branches in args.mrc:
-        def at(value, _l=branches):
-            cfg = users_of(value)
-            return mrc_conditional_bler(_l, cfg, args.mrc_trials, args.seed)
-        out[f"mrc_L{branches}"] = tuple(_map_points(at, sweep))
-    return out
-
-
-def _cmd_bler_vs_u(args) -> PerformanceCurve:
-    sweep = args.users
-    series = {}
-    for ports in args.ports:
-        dist = _gain_distribution(ports, args.width, args.mu2, args.sigma2,
-                                  args.quad_order)
-        def analytic(u, _d=dist, _n=ports):
-            return statistical_bler(_system_config(args, _n, args.width, int(u),
-                                                   args.snr_db), _d)
-        series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
-        if args.mc_samples:
-            def mc(u, _n=ports):
-                cfg = _system_config(args, _n, args.width, int(u), args.snr_db)
-                return empirical_statistical_bler(cfg, args.mc_samples, args.seed)
-            ests = _map_points(mc, sweep)
-            series[f"mc_N{ports}"] = tuple(e.value for e in ests)
-            series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
-    series.update(_mrc_bler_series(
-        args, lambda u: _system_config(args, 1, args.width, int(u), args.snr_db), sweep))
-    return PerformanceCurve("users", tuple(float(u) for u in sweep), series,
-                            _metadata(args))
-
-
-def _cmd_bler_vs_snr(args) -> PerformanceCurve:
-    sweep = args.snr_db
-    series = {}
-    for ports in args.ports:
-        dist = _gain_distribution(ports, args.width, args.mu2, args.sigma2,
-                                  args.quad_order)
-        def analytic(snr, _d=dist, _n=ports):
-            return statistical_bler(_system_config(args, _n, args.width,
-                                                   args.users, float(snr)), _d)
-        series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
-        if args.mc_samples:
-            def mc(snr, _n=ports):
-                cfg = _system_config(args, _n, args.width, args.users, float(snr))
-                return empirical_statistical_bler(cfg, args.mc_samples, args.seed)
-            ests = _map_points(mc, sweep)
-            series[f"mc_N{ports}"] = tuple(e.value for e in ests)
-            series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
-    series.update(_mrc_bler_series(
-        args, lambda snr: _system_config(args, 1, args.width, args.users, float(snr)),
-        sweep))
-    return PerformanceCurve("snr_db", tuple(float(s) for s in sweep), series,
-                            _metadata(args))
-
-
-def _cmd_bler_vs_n(args) -> PerformanceCurve:
-    sweep = args.ports
-
-    def analytic(ports):
-        dist = _gain_distribution(int(ports), args.width, args.mu2, args.sigma2,
-                                  args.quad_order)
-        cfg = _system_config(args, int(ports), args.width, args.users, args.snr_db)
-        return statistical_bler(cfg, dist)
-
-    series = {"fas": tuple(_map_points(analytic, sweep))}
-    if args.mc_samples:
-        def mc(ports):
-            if ports > MAX_MC_PORTS:
-                return None
-            cfg = _system_config(args, int(ports), args.width, args.users, args.snr_db)
-            return empirical_statistical_bler(cfg, args.mc_samples, args.seed)
-        ests = _map_points(mc, sweep)
-        series["mc"] = tuple(math.nan if e is None else e.value for e in ests)
-        series["mc_se"] = tuple(math.nan if e is None else e.standard_error for e in ests)
-    series.update(_mrc_bler_series(
-        args, lambda _n: _system_config(args, 1, args.width, args.users, args.snr_db),
-        sweep))
-    return PerformanceCurve("ports", tuple(float(n) for n in sweep), series,
-                            _metadata(args))
-
-
-def _cmd_bler_vs_w(args) -> PerformanceCurve:
-    sweep = args.widths
-
-    def analytic(width):
-        dist = _gain_distribution(args.ports, float(width), args.mu2, args.sigma2,
-                                  args.quad_order)
-        cfg = _system_config(args, args.ports, float(width), args.users, args.snr_db)
-        return statistical_bler(cfg, dist)
-
-    series = {"fas": tuple(_map_points(analytic, sweep))}
-    if args.mc_samples:
-        def mc(width):
-            if args.ports > MAX_MC_PORTS:
-                return None
-            cfg = _system_config(args, args.ports, float(width), args.users, args.snr_db)
-            return empirical_statistical_bler(cfg, args.mc_samples, args.seed)
-        ests = _map_points(mc, sweep)
-        series["mc"] = tuple(math.nan if e is None else e.value for e in ests)
-        series["mc_se"] = tuple(math.nan if e is None else e.standard_error for e in ests)
-    series.update(_mrc_bler_series(
-        args, lambda w: _system_config(args, 1, float(w), args.users, args.snr_db),
-        sweep))
-    return PerformanceCurve("width", tuple(float(w) for w in sweep), series,
-                            _metadata(args))
-
-
-def _cmd_op_vs_snr(args) -> PerformanceCurve:
-    sweep = args.snr_db
-    series = {}
-    for ports in args.ports:
-        dist = _gain_distribution(ports, args.width, args.mu2, args.sigma2,
-                                  args.quad_order)
-        def analytic(snr, _d=dist, _n=ports):
-            cfg = _system_config(args, _n, args.width, args.users, float(snr),
-                                 gamma_th=args.gamma_th)
-            return outage_probability(cfg, _d)
-        series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
-        if args.mc_samples:
-            configs = [_system_config(args, ports, args.width, args.users, float(snr),
-                                      gamma_th=args.gamma_th) for snr in sweep]
-            ests = empirical_outage_sweep(configs, args.mc_samples, args.seed)
-            series[f"mc_N{ports}"] = tuple(e.value for e in ests)
-            series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
-    for branches in args.mrc:
-        def bench(snr, _l=branches):
-            cfg = _system_config(args, 1, args.width, args.users, float(snr),
-                                 gamma_th=args.gamma_th)
-            return mrc_outage(_l, cfg)
-        series[f"mrc_L{branches}"] = tuple(_map_points(bench, sweep))
-    return PerformanceCurve("snr_db", tuple(float(s) for s in sweep), series,
-                            _metadata(args))
-
-
-def _cmd_op_vs_u(args) -> PerformanceCurve:
-    sweep = args.users
-    series = {}
-    for ports in args.ports:
-        dist = _gain_distribution(ports, args.width, args.mu2, args.sigma2,
-                                  args.quad_order)
-        def analytic(u, _d=dist, _n=ports):
-            cfg = _system_config(args, _n, args.width, int(u), args.snr_db,
-                                 gamma_th=args.gamma_th)
-            return outage_probability(cfg, _d)
-        series[f"fas_N{ports}"] = tuple(_map_points(analytic, sweep))
-        if args.mc_samples:
-            configs = [_system_config(args, ports, args.width, int(u), args.snr_db,
-                                      gamma_th=args.gamma_th) for u in sweep]
-            ests = empirical_outage_sweep(configs, args.mc_samples, args.seed)
-            series[f"mc_N{ports}"] = tuple(e.value for e in ests)
-            series[f"mc_N{ports}_se"] = tuple(e.standard_error for e in ests)
-    for branches in args.mrc:
-        def bench(u, _l=branches):
-            cfg = _system_config(args, 1, args.width, int(u), args.snr_db,
-                                 gamma_th=args.gamma_th)
-            return mrc_outage(_l, cfg)
-        series[f"mrc_L{branches}"] = tuple(_map_points(bench, sweep))
-    return PerformanceCurve("users", tuple(float(u) for u in sweep), series,
+        series[f"mrc_L{branches}"] = tuple(bench[branches, c] for c in mrc_configs)
+    return PerformanceCurve(row.column, tuple(float(v) for v in values), series,
                             _metadata(args))
 
 
@@ -414,29 +385,40 @@ def _cmd_quad_check(args) -> PerformanceCurve:
 # ============================================================================
 
 
-def _add_common(sub, mu2_default=0.97):
+def _add_common(sub, *order_aliases, mu2_default=0.97,
+                mu2_help="intra-block correlation (default 0.97)",
+                seed_help="base seed for every Monte Carlo draw (default 1)"):
     sub.add_argument("--sigma2", type=float, default=2.0,
                      help="channel variance per port (default 2)")
-    sub.add_argument("--mu2", type=float, default=mu2_default,
-                     help="intra-block correlation (default 0.97)")
-    sub.add_argument("--quad-order", type=int, default=32,
-                     help="latent-variable rule order for analytic curves (default 32): "
-                          "the Gauss-Laguerre node count where that rule resolves a "
-                          "block's bracket, else twice the node count of each of the "
-                          "split rule's (at most four) Gauss-Legendre panels")
-    sub.add_argument("--seed", type=int, default=1,
-                     help="base seed for every Monte Carlo draw (default 1)")
+    sub.add_argument("--mu2", type=float, default=mu2_default, help=mu2_help)
+    sub.add_argument(*order_aliases, "--quad-order", dest="quad_order", type=int, default=32,
+                     help="latent-variable rule order (default 32): the Gauss-Laguerre "
+                          "node count where that rule resolves a block's bracket, else "
+                          "twice the node count of each of the split rule's (at most "
+                          "four) Gauss-Legendre panels")
+    sub.add_argument("--seed", type=int, default=1, help=seed_help)
     sub.add_argument("--config", metavar="PATH",
                      help="flat key=value file supplying defaults")
     sub.add_argument("--out", metavar="PATH",
                      help="output CSV path (stdout if omitted)")
 
 
-def _add_mc_options(sub, mrc_default, mc_help):
+def _add_sweep_flags(sub, row):
+    for dest, default in {**row.defaults, "blocklength": "5"}.items():
+        kind, single, plural = _SWEEP_FLAGS[dest]
+        if dest == row.option or (dest == "ports" and row.per_port):
+            parse = parse_int_list if kind is int else parse_float_list
+            text = f"swept {plural}" if dest == row.option else f"{plural}, one curve each"
+        else:
+            parse, text = kind, single
+        sub.add_argument("--" + dest.replace("_", "-"), type=parse, default=parse(default),
+                         help=f"{text} (default {default})")
     sub.add_argument("--mc-samples", type=int, default=0,
-                     help=mc_help + " (0 disables; default 0)")
-    sub.add_argument("--mrc", type=parse_int_list, default=parse_int_list(mrc_default),
-                     help=f"benchmark MRC branch counts (default {mrc_default})")
+                     help=f"exact-channel draws per point, N <= {MAX_MC_PORTS} only "
+                          "(0 disables; default 0)")
+    mrc = "1,3,5" if row.outage else "1,2"
+    sub.add_argument("--mrc", type=parse_int_list, default=parse_int_list(mrc),
+                     help=f"benchmark MRC branch counts (default {mrc})")
     sub.add_argument("--mrc-trials", type=int, default=100000,
                      help="gain draws per MRC benchmark point (default 100000)")
 
@@ -468,105 +450,22 @@ def build_parser():
     p.add_argument("--t-points", type=int, default=200, help="grid size (default 200)")
     _add_common(p)
 
-    p = register("bler-vs-u", _cmd_bler_vs_u,
-                 "statistical error bound swept over the user count")
-    p.add_argument("--users", type=parse_int_list, default=parse_int_list("1:20"),
-                   help="swept user counts (default 1:20)")
-    p.add_argument("--ports", type=parse_int_list, default=parse_int_list("5,50"),
-                   help="port counts, one curve each (default 5,50)")
-    p.add_argument("--width", type=float, default=1.0, help="aperture length (default 1)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    p.add_argument("--snr-db", type=float, default=20.0, help="SNR in dB (default 20)")
-    _add_mc_options(p, "1,2", "exact-channel draws per point")
-    _add_common(p)
-
-    p = register("bler-vs-snr", _cmd_bler_vs_snr,
-                 "statistical error bound swept over SNR")
-    p.add_argument("--snr-db", type=parse_float_list, default=parse_float_list("0:30:2"),
-                   help="swept SNR values in dB (default 0:30:2)")
-    p.add_argument("--ports", type=parse_int_list, default=parse_int_list("5,50,1000"),
-                   help="port counts, one curve each (default 5,50,1000)")
-    p.add_argument("--width", type=float, default=0.5, help="aperture length (default 0.5)")
-    p.add_argument("--users", type=int, default=10, help="user count U (default 10)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    _add_mc_options(p, "1,2", "exact-channel draws per point")
-    _add_common(p)
-
-    p = register("bler-vs-n", _cmd_bler_vs_n,
-                 "statistical error bound swept over the port count")
-    p.add_argument("--ports", type=parse_int_list,
-                   default=parse_int_list("5,10,20,50,100,200,500,1000,2000,5000"),
-                   help="swept port counts (default 5,...,5000)")
-    p.add_argument("--width", type=float, default=1.0, help="aperture length (default 1)")
-    p.add_argument("--users", type=int, default=10, help="user count U (default 10)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    p.add_argument("--snr-db", type=float, default=12.0, help="SNR in dB (default 12)")
-    _add_mc_options(p, "1,2",
-                    f"exact-channel draws per point, N <= {MAX_MC_PORTS} only")
-    _add_common(p)
-
-    p = register("bler-vs-w", _cmd_bler_vs_w,
-                 "statistical error bound swept over the aperture length")
-    p.add_argument("--widths", type=parse_float_list, default=parse_float_list("0.1:1:0.1"),
-                   help="swept aperture lengths (default 0.1:1:0.1)")
-    p.add_argument("--ports", type=int, default=5000, help="port count N (default 5000)")
-    p.add_argument("--users", type=int, default=10, help="user count U (default 10)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    p.add_argument("--snr-db", type=float, default=12.0, help="SNR in dB (default 12)")
-    _add_mc_options(p, "1,2",
-                    f"exact-channel draws per point, N <= {MAX_MC_PORTS} only")
-    _add_common(p)
-
-    p = register("op-vs-snr", _cmd_op_vs_snr, "outage probability swept over SNR")
-    p.add_argument("--snr-db", type=parse_float_list, default=parse_float_list("-40:-10:2"),
-                   help="swept SNR values in dB (default -40:-10:2)")
-    p.add_argument("--ports", type=parse_int_list, default=parse_int_list("5,50,500"),
-                   help="port counts, one curve each (default 5,50,500)")
-    p.add_argument("--width", type=float, default=0.5, help="aperture length (default 0.5)")
-    p.add_argument("--users", type=int, default=20, help="user count U (default 20)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    p.add_argument("--gamma-th", type=float, default=1e-3,
-                   help="SINR outage threshold (default 1e-3)")
-    _add_mc_options(p, "1,3,5", "exact-channel draws per point")
-    _add_common(p)
-
-    p = register("op-vs-u", _cmd_op_vs_u, "outage probability swept over the user count")
-    p.add_argument("--users", type=parse_int_list, default=parse_int_list("2:20"),
-                   help="swept user counts (default 2:20)")
-    p.add_argument("--ports", type=parse_int_list, default=parse_int_list("5,50,500,1000"),
-                   help="port counts, one curve each (default 5,50,500,1000)")
-    p.add_argument("--width", type=float, default=0.5, help="aperture length (default 0.5)")
-    p.add_argument("--snr-db", type=float, default=-35.0, help="SNR in dB (default -35)")
-    p.add_argument("--blocklength", type=int, default=5, help="blocklength M (default 5)")
-    p.add_argument("--gamma-th", type=float, default=1e-4,
-                   help="SINR outage threshold (default 1e-4)")
-    _add_mc_options(p, "1,3,5", "exact-channel draws per point")
-    _add_common(p)
+    for name, row in _SWEEPS.items():
+        p = register(name, functools.partial(_sweep, row), row.help)
+        _add_sweep_flags(p, row)
+        _add_common(p)
 
     p = register("quad-check", _cmd_quad_check,
                  "fixed-order quadrature versus adaptive oracle on the block factor")
-    p.add_argument("--order", "--quad-order", dest="quad_order", type=int, default=32,
-                   help="latent-variable rule order under test (default 32): the "
-                        "Gauss-Laguerre node count where that rule resolves the "
-                        "bracket, else twice the node count of each Gauss-Legendre "
-                        "panel of the split rule")
     p.add_argument("--mu", type=parse_float_list, default=None,
                    help="correlation values mu, squared internally (default 0.1,0.5,0.97)")
     p.add_argument("--lb", type=int, default=3, help="block size exponent (default 3)")
     p.add_argument("--t-min", type=float, default=0.2, help="grid start (default 0.2)")
     p.add_argument("--t-max", type=float, default=20.0, help="grid end (default 20)")
     p.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")
-    sub = p
-    sub.add_argument("--sigma2", type=float, default=2.0,
-                     help="channel variance per port (default 2)")
-    sub.add_argument("--mu2", type=float, default=None,
-                     help="single correlation, equivalent to --mu sqrt(mu2)")
-    sub.add_argument("--seed", type=int, default=1,
-                     help="accepted for uniformity; this check draws nothing")
-    sub.add_argument("--config", metavar="PATH",
-                     help="flat key=value file supplying defaults")
-    sub.add_argument("--out", metavar="PATH",
-                     help="output CSV path (stdout if omitted)")
+    _add_common(p, "--order", mu2_default=None,
+                mu2_help="single correlation, equivalent to --mu sqrt(mu2)",
+                seed_help="accepted for uniformity; this check draws nothing")
 
     return parser, by_name
 
@@ -601,10 +500,6 @@ def _apply_config(sub, entries) -> None:
     sub.set_defaults(**defaults)
 
 
-def run_experiment(args) -> PerformanceCurve:
-    return args.func(args)
-
-
 def main(argv=None) -> int:
     parser, by_name = build_parser()
     args = parser.parse_args(argv)
@@ -612,7 +507,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(by_name[args.command], _read_config(args.config))
             args = parser.parse_args(argv)
-        curve = run_experiment(args)
+        curve = args.func(args)
         text = render_csv(curve)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

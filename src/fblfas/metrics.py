@@ -64,6 +64,24 @@ def _bler_params(users, blocklength, codeword_variance, noise_variance):
     return users, blocklength
 
 
+def _union_bound(users, blocklength):
+    """The union-bound sum for U users and blocklength M, as (active, bound).
+
+    active is [1, ..., U]; bound(z) sums (U'/U) exp(2 ln C(U,U') - M log1p(z_U'))
+    over U' along the last axis of z, where z_U' = U' sigma_c^2 g / (2 sigma_eta^2).
+    Callers form z from active themselves, since the order of that product
+    sets z's last bit.
+    """
+    active = np.arange(1, users + 1, dtype=float)
+    prefix = active / users
+    exponents = np.asarray(_exponent_table(users))[1:]
+
+    def bound(z):
+        return np.exp(exponents - blocklength * np.log1p(z)) @ prefix
+
+    return active, bound
+
+
 def conditional_bler_raw(users, blocklength, gain, codeword_variance, noise_variance):
     """Unclamped union bound at fixed gain; broadcasts over gain arrays.
 
@@ -74,11 +92,8 @@ def conditional_bler_raw(users, blocklength, gain, codeword_variance, noise_vari
     g = np.asarray(gain, dtype=float)
     if g.size and (not np.all(np.isfinite(g)) or np.any(g < 0.0)):
         raise ValueError("gain must be finite and >= 0")
-    active = np.arange(1, users + 1, dtype=float)
-    prefix = active / users
-    exponents = np.asarray(_exponent_table(users))[1:]
-    z = (0.5 * codeword_variance / noise_variance) * g.reshape(-1, 1) * active
-    raw = np.exp(exponents - blocklength * np.log1p(z)) @ prefix
+    active, bound = _union_bound(users, blocklength)
+    raw = bound((0.5 * codeword_variance / noise_variance) * g.reshape(-1, 1) * active)
     if np.ndim(gain) == 0:
         return float(raw[0])
     return raw.reshape(g.shape)
@@ -113,16 +128,11 @@ def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
     reported as a RuntimeWarning with the error estimate attached.
     """
     _check_consistent(config, dist)
-    users = config.users
-    blocklength = config.blocklength
-    active = np.arange(1, users + 1, dtype=float)
-    prefix = active / users
-    exponents = np.asarray(_exponent_table(users))[1:]
+    active, bound = _union_bound(config.users, config.blocklength)
     coef = 0.5 * config.codeword_variance / config.noise_variance * active
 
     def integrand(t):
-        bound = float(np.exp(exponents - blocklength * np.log1p(coef * t)) @ prefix)
-        return pdf_gfas(dist, t) * bound
+        return pdf_gfas(dist, t) * float(bound(coef * t))
 
     upper = quantile(dist, 1.0 - _TAIL_MASS)
     result = integrate_adaptive(integrand, 0.0, upper, tol=1e-10)

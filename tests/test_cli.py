@@ -12,6 +12,7 @@ from fblfas.cli import (
     parse_int_list,
     render_csv,
 )
+from fblfas import montecarlo
 from fblfas.montecarlo import empirical_outage
 
 
@@ -243,6 +244,21 @@ class TestSweepCommands:
             est = empirical_outage(cfg, samples=70_000, seed=9)
             assert (row[value], row[se]) == (est.value, est.standard_error)
             assert 0.0 < est.value < 1.0
+
+    def test_mc_overlay_stops_at_the_port_cap(self, capsys, monkeypatch):
+        # past the cap an overlay cell is NaN; the dense N x N factor behind
+        # a draw is never built
+        def refuse(correlation):
+            raise AssertionError(f"eigen_factor called at N = {correlation.size}")
+
+        monkeypatch.setattr(montecarlo, "eigen_factor", refuse)
+        code, out, err = run_cli(capsys, [
+            "op-vs-u", "--ports", "1001", "--users", "2", "--mc-samples", "2000"])
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert header[:4] == ["users", "fas_N1001", "mc_N1001", "mc_N1001_se"]
+        assert 0.0 < rows[0][1] <= 1.0
+        assert math.isnan(rows[0][2]) and math.isnan(rows[0][3])
 
 
 class TestConfigFile:
