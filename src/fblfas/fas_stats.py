@@ -51,9 +51,19 @@ class GainDistribution:
 
     Immutable and safe to share across threads. Where the Gauss-Laguerre
     rule resolves a block's bracket, its per-node chi-square family is built
-    lazily on first use and then reused, so sweeps over t should go through
-    a single instance; elsewhere the split rule places its nodes per
-    abscissa (see _latent_split).
+    lazily on first use and then reused; elsewhere the split rule places its
+    nodes per abscissa (see _latent_split).
+
+    The instance is also the unit of reuse: it remembers every value that
+    cdf_gfas, pdf_gfas and quantile return for it, keyed by the float
+    argument; pdf_gfas also stores the CDF it computes on the way. The
+    error-bound points of a curve average over one distribution on the
+    same adaptive panels of [0, upper], so they share one density per node
+    and one integration limit. Values are pure functions of (instance,
+    argument): a hit returns the bits a fresh evaluation would, and threads
+    that miss together only compute the same value twice. Each memo stops
+    growing at _MEMO_ENTRIES values and lives as long as the instance, so
+    sweeps over t, SNR or user count should go through a single instance.
 
     The reference scale is channel_variance = 2: evaluations at a general
     sigma^2 map the argument through t' = 2 t / sigma^2 (and densities pick
@@ -88,6 +98,24 @@ class GainDistribution:
         # Distinct block sizes with multiplicities; each distinct size needs
         # its quadrature sums only once per abscissa.
         return tuple(sorted(Counter(self.model.block_sizes).items()))
+
+    @cached_property
+    def _memo(self) -> tuple:
+        # (cdf by t, pdf by t, quantile by p); see the class docstring.
+        return {}, {}, {}
+
+
+# Most values each memo of a GainDistribution keeps (1.4 MB when full).
+# Every default bler-vs-* curve evaluates fewer than 700 abscissas per
+# distribution; one adaptive integral that exhausts its panel budget can
+# evaluate 120,000.
+_MEMO_ENTRIES = 1 << 14
+
+
+def _remember(memo: dict, key: float, value: float) -> float:
+    if len(memo) < _MEMO_ENTRIES:
+        memo[key] = value
+    return value
 
 
 def _checked_t(t, allow_zero: bool):
@@ -225,6 +253,13 @@ def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
     return values, slopes
 
 
+def _cdf_from_factors(dist: GainDistribution, factors) -> float:
+    out = 1.0
+    for factor, (_size, count) in zip(factors, dist._size_counts):
+        out *= factor ** count
+    return min(max(out, 0.0), 1.0)
+
+
 def cdf_gfas(dist: GainDistribution, t) -> float:
     """P(max-port gain <= t) under the block model."""
     t = _checked_t(t, allow_zero=True)
@@ -232,13 +267,14 @@ def cdf_gfas(dist: GainDistribution, t) -> float:
         return 0.0
     if math.isinf(t):
         return 1.0
+    memo = dist._memo[0]
+    value = memo.get(t)
+    if value is not None:
+        return value
     sizes = [size for size, _ in dist._size_counts]
     factors, _ = _block_factors(t * dist._xscale, dist._lam_rate, sizes, dist.rule,
                                 lambda: dist._family, density=False)
-    out = 1.0
-    for factor, (_size, count) in zip(factors, dist._size_counts):
-        out *= factor ** count
-    return min(max(out, 0.0), 1.0)
+    return _remember(memo, t, _cdf_from_factors(dist, factors))
 
 
 def pdf_gfas(dist: GainDistribution, t) -> float:
@@ -246,6 +282,10 @@ def pdf_gfas(dist: GainDistribution, t) -> float:
     t = _checked_t(t, allow_zero=False)
     if math.isinf(t):
         raise ValueError("gain argument must be finite")
+    cdf_memo, memo, _ = dist._memo
+    value = memo.get(t)
+    if value is not None:
+        return value
     sizes = dist._size_counts
     G, D = _block_factors(t * dist._xscale, dist._lam_rate, [s for s, _ in sizes],
                           dist.rule, lambda: dist._family, density=True)
@@ -257,7 +297,10 @@ def pdf_gfas(dist: GainDistribution, t) -> float:
             if j != i:
                 term *= G[j] ** cj
         total += term
-    return max(total * dist._xscale, 0.0)
+    # the same factors give the CDF at t: statistical_bler's clamp probes
+    # upper 2^-k are midpoints of its integrand's panels [0, upper 2^(1-k)]
+    _remember(cdf_memo, t, _cdf_from_factors(dist, G))
+    return _remember(memo, t, max(total * dist._xscale, 0.0))
 
 
 def quantile(dist: GainDistribution, p) -> float:
@@ -267,6 +310,10 @@ def quantile(dist: GainDistribution, p) -> float:
         raise ValueError("quantile requires 0 <= p < 1")
     if p == 0.0:
         return 0.0
+    memo = dist._memo[2]
+    value = memo.get(p)
+    if value is not None:
+        return value
     hi = max(dist.channel_variance, 1.0)
     for _ in range(1100):
         if cdf_gfas(dist, hi) >= p:
@@ -281,7 +328,7 @@ def quantile(dist: GainDistribution, p) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _remember(memo, p, 0.5 * (lo + hi))
 
 
 # ----------------------------------------------------------------------------

@@ -31,6 +31,10 @@ from .quadrature import integrate_adaptive
 # Mass of the gain distribution allowed past the truncation point of the
 # averaged-bound integral.
 _TAIL_MASS = 1e-10
+# statistical_bler returns 1 without integrating where a lower bound on the
+# average, taken at one of this many probe gains, reaches this level.
+_CLAMP_PROBES = 12
+_CLAMP_LEVEL = 1.0 + 1e-6
 
 
 def _positive_int(name, value):
@@ -126,15 +130,35 @@ def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
     the discarded tail carries at most that much probability times a bound
     value already far below it. Non-convergence of the adaptive pass is
     reported as a RuntimeWarning with the error estimate attached.
+
+    Points whose average provably reaches 1 return 1 without integrating.
+    The raw bound h decreases in the gain, so E[h(G)] >= h(t0) F(t0) for
+    any t0 below the integration limit. Every block factor of F is at most
+    the single-port marginal and the B blocks are independent, so
+    F(t) <= (1 - exp(-t / sigma^2))^B; that screen picks the best of the
+    probes t0 = upper 2^-k, k = 1..12, with no CDF call, and only where it
+    reaches 1 + 1e-6 is F evaluated there. These are the low-SNR points
+    whose integral of a bound near 1e5 at low gain, to the absolute
+    tolerance 1e-10, cannot converge.
     """
     _check_consistent(config, dist)
     active, bound = _union_bound(config.users, config.blocklength)
     coef = 0.5 * config.codeword_variance / config.noise_variance * active
 
-    def integrand(t):
-        return pdf_gfas(dist, t) * float(bound(coef * t))
-
     upper = quantile(dist, 1.0 - _TAIL_MASS)
+    probes = [upper * 2.0 ** -k for k in range(1, _CLAMP_PROBES + 1)]
+    blocks = dist.model.block_count
+    screened = [float(bound(coef * t)) * (-math.expm1(-t / dist.channel_variance)) ** blocks
+                for t in probes]
+    best = int(np.argmax(screened))
+    if screened[best] >= _CLAMP_LEVEL:
+        t0 = probes[best]
+        if float(bound(coef * t0)) * cdf_gfas(dist, t0) >= _CLAMP_LEVEL:
+            return 1.0
+
+    def integrand(ts):
+        return np.array([pdf_gfas(dist, t) * float(bound(coef * t)) for t in ts])
+
     result = integrate_adaptive(integrand, 0.0, upper, tol=1e-10)
     if 0.0 < result.value < 1e-4:
         # Small averages need relative rather than absolute control.

@@ -1,9 +1,11 @@
 """Command-line surface: list parsing, CSV shape, precedence, exit codes."""
 import argparse
 import math
+from collections import Counter
 
 import pytest
 
+from fblfas import fas_stats
 from fblfas.channel import SystemConfig
 from fblfas.cli import (
     PerformanceCurve,
@@ -13,6 +15,8 @@ from fblfas.cli import (
     render_csv,
 )
 from fblfas import montecarlo
+from fblfas.fas_stats import GainDistribution
+from fblfas.metrics import _TAIL_MASS
 from fblfas.montecarlo import empirical_outage
 
 
@@ -175,6 +179,39 @@ class TestSweepCommands:
             # only a loose agreement with the exact channel is expected
             assert abs(row[1] - row[2]) < 5.0 * row[3] + 0.2
             assert row[3] > 0.0
+
+    def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch):
+        # every error-bound point of a curve averages over one distribution
+        # on the same adaptive panels of [0, upper]: the block factors run
+        # at most once per distinct abscissa (without the memo, 16,800
+        # evaluations for 1,350 abscissas) and the limit is bisected once
+        evaluations, bisection_calls, dists = Counter(), Counter(), {}
+        block_factors, cdf = fas_stats._block_factors, fas_stats.cdf_gfas
+
+        def counted_factors(x, lam_rate, sizes, *rest, **kwargs):
+            evaluations[lam_rate, tuple(sizes), x] += 1
+            return block_factors(x, lam_rate, sizes, *rest, **kwargs)
+
+        def counted_cdf(dist, t):
+            # only quantile reads this binding; metrics holds its own
+            dists[id(dist)] = dist
+            bisection_calls[id(dist)] += 1
+            return cdf(dist, t)
+
+        monkeypatch.setattr(fas_stats, "_block_factors", counted_factors)
+        monkeypatch.setattr(fas_stats, "cdf_gfas", counted_cdf)
+        code, _, _ = run_cli(capsys, ["bler-vs-u", "--users", "1:20", "--ports", "5,50",
+                                      "--mrc", "1", "--mrc-trials", "1000"])
+        assert code == 0
+        assert len(evaluations) > 1000 and max(evaluations.values()) == 1
+        assert len(dists) == 2
+        for key, dist in list(dists.items()):
+            calls = bisection_calls[key]
+            bisection_calls[key] = 0
+            fresh = GainDistribution(model=dist.model, channel_variance=dist.channel_variance,
+                                     rule=dist.rule)
+            fas_stats.quantile(fresh, 1.0 - _TAIL_MASS)
+            assert calls == bisection_calls[id(fresh)]
 
     def test_bler_vs_w_large_port_count(self, capsys):
         # the block fit is matrix-free, so analytic sweeps take N far past

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from fblfas import fas_stats
 from fblfas.channel import BlockModel, build_correlation, fit_block_model
 from fblfas.fas_stats import (
     GainDistribution,
@@ -264,6 +265,53 @@ class TestQuantile:
 
     def test_rejects_bad_probability(self):
         dist = reference_distribution()
+        quantile(dist, 0.5)  # validation comes before the memo
         for bad in (-0.1, 1.0, 1.5, math.nan):
             with pytest.raises(ValueError):
                 quantile(dist, bad)
+        assert list(dist._memo[2]) == [0.5]
+
+
+class TestMemo:
+    """Each GainDistribution remembers what cdf_gfas, pdf_gfas and quantile
+    return; a remembered value must be the bits a fresh instance computes."""
+
+    GRID = [float(t) for t in np.geomspace(0.01, 40.0, 25)]
+
+    @staticmethod
+    def fresh(dist):
+        return GainDistribution(model=dist.model, channel_variance=dist.channel_variance,
+                                rule=dist.rule)
+
+    def test_grid_spans_both_latent_rules(self):
+        # mu^2 = 0.1 keeps the plain Laguerre rule, mu^2 = 0.97 splits
+        for mu2, split in ((0.1, False), (0.97, True)):
+            dist = reference_distribution(mu2=mu2)
+            sizes = [size for size, _ in dist._size_counts if size > 1]
+            plans = [fas_stats._latent_split(t * dist._xscale, dist._lam_rate, size, 32)
+                     for t in self.GRID for size in sizes]
+            assert any((plan is not None) == split for plan in plans), mu2
+
+    @pytest.mark.parametrize("mu2", [0.1, 0.97])
+    @pytest.mark.parametrize("pdf_first", [False, True])
+    def test_remembered_values_are_bit_equal_to_fresh_ones(self, mu2, pdf_first):
+        dist = reference_distribution(mu2=mu2)
+        order = (pdf_gfas, cdf_gfas) if pdf_first else (cdf_gfas, pdf_gfas)
+        for _ in range(2):  # the second round reads only the memo
+            for t in self.GRID:
+                for fn in order:
+                    assert fn(dist, t) == fn(self.fresh(dist), t), (fn.__name__, t)
+            assert quantile(dist, 0.9) == quantile(self.fresh(dist), 0.9)
+        cdfs, pdfs, quantiles = dist._memo
+        assert set(self.GRID) <= set(cdfs) and set(pdfs) == set(self.GRID)
+        assert list(quantiles) == [0.9]
+
+    def test_cap_is_respected(self, monkeypatch):
+        monkeypatch.setattr(fas_stats, "_MEMO_ENTRIES", 4)
+        dist = reference_distribution()
+        for t in self.GRID[:10]:
+            assert pdf_gfas(dist, t) == pdf_gfas(self.fresh(dist), t)
+            assert cdf_gfas(dist, t) == cdf_gfas(self.fresh(dist), t)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            assert quantile(dist, p) == quantile(self.fresh(dist), p)
+        assert [len(memo) for memo in dist._memo] == [4, 4, 4]

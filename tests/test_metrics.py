@@ -8,10 +8,12 @@ scipy.integrate.quad and mpmath (0.523720870407838778, both routes to 15
 digits).
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fblfas import metrics
 from fblfas.channel import BlockModel, SystemConfig, build_correlation, fit_block_model
 from fblfas.fas_stats import GainDistribution, block_cdf_factor, block_cdf_factor_adaptive
 from fblfas.metrics import (
@@ -146,6 +148,21 @@ class TestStatisticalBler:
             for cfg in (cfg5, cfg50)
         }
         assert statistical_bler(cfg50, dists[cfg50]) < statistical_bler(cfg5, dists[cfg5])
+
+    def test_proved_clamp_skips_the_integral(self, monkeypatch):
+        # at 0 dB the raw bound averages far above 1; the integral of a
+        # bound near 1e5 at low gain cannot meet its absolute tolerance and
+        # used to warn after 131,056 density calls
+        calls = []
+        monkeypatch.setattr(metrics, "pdf_gfas", lambda *a: calls.append(a))
+        cfg = SystemConfig.from_snr_db(ports=1000, antenna_length=0.5, users=10,
+                                       blocklength=5, snr_db=0.0)
+        dist = GainDistribution(model=fit_block_model(build_correlation(1000, 0.5), 0.97),
+                                channel_variance=2.0, rule=gauss_laguerre(32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert statistical_bler(cfg, dist) == 1.0
+        assert calls == []
 
     def test_rejects_mismatched_config(self):
         cfg = single_port_config(ports=3)
