@@ -13,7 +13,8 @@ config of every point and evaluates each distinct config once: a repeated
 sweep value, or the single-antenna MRC benchmark that every port count
 shares, costs one evaluation. Monte Carlo overlays stop at MAX_MC_PORTS on
 every subcommand, with NaN cells past it; outage overlays draw once per
-port count, error-bound overlays still draw per point.
+port count, and the MRC error-bound benchmark once per branch count. The
+exact-channel error-bound overlays still draw per point.
 
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
@@ -45,7 +46,7 @@ from .fas_stats import (
     pdf_gfas,
 )
 from .metrics import (
-    mrc_conditional_bler,
+    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     statistical_bler,
@@ -299,8 +300,10 @@ def _sweep(row, args) -> PerformanceCurve:
     Columns are fas, then mc and mc_se when --mc-samples is set, suffixed
     _N{n} per port count where row.per_port, then one mrc_L{l} column per
     branch count on a single antenna (ports = 1). Repeated sweep values and
-    the MRC config that every port count shares are evaluated once. Monte
-    Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
+    the MRC config that every port count shares are evaluated once, and the
+    MRC error bound of every sweep value is averaged over one set of gain
+    draws per branch count. Monte Carlo cells of configs with more than
+    MAX_MC_PORTS ports are NaN.
     """
     values = getattr(args, row.option)
     fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
@@ -327,11 +330,12 @@ def _sweep(row, args) -> PerformanceCurve:
         mc = _once(lambda c: empirical_statistical_bler(c, args.mc_samples, args.seed),
                    [c for c in points if c.ports <= MAX_MC_PORTS])
     mrc_configs = configs(ports=1)
-    pairs = [(branches, c) for branches in args.mrc for c in mrc_configs]
     if row.outage:
-        bench = _once(lambda p: mrc_outage(*p), pairs)
+        bench = _once(lambda b: [mrc_outage(b, c) for c in mrc_configs], args.mrc)
     else:
-        bench = _once(lambda p: mrc_conditional_bler(*p, args.mrc_trials, args.seed), pairs)
+        # one set of gain draws per branch count serves the whole curve
+        bench = _once(lambda b: mrc_conditional_bler_sweep(b, mrc_configs, args.mrc_trials,
+                                                           args.seed), args.mrc)
     series = {}
     for suffix, cs in curves.items():
         series["fas" + suffix] = tuple(fas[c] for c in cs)
@@ -341,7 +345,7 @@ def _sweep(row, args) -> PerformanceCurve:
             series[f"mc{suffix}_se"] = tuple(
                 math.nan if e is None else e.standard_error for e in ests)
     for branches in args.mrc:
-        series[f"mrc_L{branches}"] = tuple(bench[branches, c] for c in mrc_configs)
+        series[f"mrc_L{branches}"] = tuple(bench[branches])
     return PerformanceCurve(row.column, tuple(float(v) for v in values), series,
                             _metadata(args))
 

@@ -68,6 +68,17 @@ def _bler_params(users, blocklength, codeword_variance, noise_variance):
     return users, blocklength
 
 
+# Elements of the work buffer of conditional_bler_raw on arrays (512 KB):
+# large enough for long inner loops, small enough to stay in cache.
+_PANEL_ELEMENTS = 1 << 16
+
+
+def _union_terms(users):
+    """active = [1, ..., U], prefix = active / U and exponents 2 ln C(U, U')."""
+    active = np.arange(1, users + 1, dtype=float)
+    return active, active / users, np.asarray(_exponent_table(users))[1:]
+
+
 def _union_bound(users, blocklength):
     """The union-bound sum for U users and blocklength M, as (active, bound).
 
@@ -76,9 +87,7 @@ def _union_bound(users, blocklength):
     Callers form z from active themselves, since the order of that product
     sets z's last bit.
     """
-    active = np.arange(1, users + 1, dtype=float)
-    prefix = active / users
-    exponents = np.asarray(_exponent_table(users))[1:]
+    active, prefix, exponents = _union_terms(users)
 
     def bound(z):
         return np.exp(exponents - blocklength * np.log1p(z)) @ prefix
@@ -91,13 +100,33 @@ def conditional_bler_raw(users, blocklength, gain, codeword_variance, noise_vari
 
     sum_{U'=1}^{U} (U'/U) exp(2 ln C(U,U') - M ln(1 + U' sigma_c^2 g / (2 sigma_eta^2)))
     where the log argument is 1 + interference_variance / (4 sigma_eta^2).
+
+    Each element's terms are those of _union_bound, operation for operation,
+    so the bits are too. They are formed a panel of gains at a time in a
+    reused (U, panel) buffer, whose inner loops run along the gains, and
+    copied into one C-ordered (n, U) array whose product with the prefix
+    weights is the one _union_bound takes.
     """
     users, blocklength = _bler_params(users, blocklength, codeword_variance, noise_variance)
     g = np.asarray(gain, dtype=float)
     if g.size and (not np.all(np.isfinite(g)) or np.any(g < 0.0)):
         raise ValueError("gain must be finite and >= 0")
-    active, bound = _union_bound(users, blocklength)
-    raw = bound((0.5 * codeword_variance / noise_variance) * g.reshape(-1, 1) * active)
+    active, prefix, exponents = _union_terms(users)
+    scaled = (0.5 * codeword_variance / noise_variance) * g.reshape(-1)
+    n = scaled.size
+    terms = np.empty((n, users))
+    panel = max(_PANEL_ELEMENTS // users, 1)
+    work = np.empty((users, min(panel, n)))
+    for start in range(0, n, panel):
+        stop = min(start + panel, n)
+        z = work[:, :stop - start]
+        np.multiply(scaled[start:stop], active[:, None], out=z)
+        np.log1p(z, out=z)
+        np.multiply(blocklength, z, out=z)
+        np.subtract(exponents[:, None], z, out=z)
+        np.exp(z, out=z)
+        np.copyto(terms[start:stop].T, z)
+    raw = terms @ prefix
     if np.ndim(gain) == 0:
         return float(raw[0])
     return raw.reshape(g.shape)
@@ -235,17 +264,39 @@ def mrc_conditional_bler(branches, config: SystemConfig, trials, seed, workers=N
     Deterministic for a given seed regardless of worker count (fixed-size
     chunks with per-chunk generators, exact order-independent reduction).
     """
+    return mrc_conditional_bler_sweep(branches, [config], trials, seed, workers)[0]
+
+
+def mrc_conditional_bler_sweep(branches, configs, trials, seed, workers=None) -> list:
+    """mrc_conditional_bler at every config, from one set of gain draws.
+
+    The configs must share the channel variance: the Gamma(L, sigma^2) gains
+    depend only on (L, sigma^2, trials, seed), so a sweep over users, SNR or
+    blocklength changes only the bound evaluated on them. Each chunk is drawn
+    once and every distinct bound (users, blocklength and the two variances)
+    sums its clamped values over it; the chunk sums are then reduced per
+    bound exactly as in a single-config call, so the averages equal
+    per-point calls bit for bit.
+    """
     branches = _positive_int("branches", branches)
     trials = _positive_int("trials", trials)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("configs must not be empty")
+    variance = configs[0].channel_variance
+    if any(c.channel_variance != variance for c in configs):
+        raise ValueError("configs must share channel_variance")
+    bounds = [(c.users, c.blocklength, c.codeword_variance, c.noise_variance)
+              for c in configs]
+    distinct = list(dict.fromkeys(bounds))
 
     def task(index, size):
         rng = parallel.chunk_rng(seed, index)
-        gains = rng.gamma(shape=branches, scale=config.channel_variance, size=size)
-        vals = conditional_bler(
-            config.users, config.blocklength, gains,
-            config.codeword_variance, config.noise_variance,
-        )
-        return float(np.sum(vals))
+        gains = rng.gamma(shape=branches, scale=variance, size=size)
+        return [float(np.sum(conditional_bler(users, blocklength, gains, cv, nv)))
+                for users, blocklength, cv, nv in distinct]
 
     partial_sums = parallel.run_chunks(task, trials, workers)
-    return math.fsum(partial_sums) / trials
+    averages = {key: math.fsum(sums[j] for sums in partial_sums) / trials
+                for j, key in enumerate(distinct)}
+    return [averages[key] for key in bounds]

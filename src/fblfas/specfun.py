@@ -181,15 +181,36 @@ def ncx2_cdf(x, lam):
     return 1.0 - marcum_q1(math.sqrt(lam), math.sqrt(x))
 
 
+# gammaln(k + 1) for k = 0, 1, ...; Ncx2Family slices it. It starts empty and
+# only grows, by rebinding the name to a longer fresh array, so a reader
+# holding the old table or a slice of it is never disturbed (thread-safe
+# without a lock).
+_log_factorials = np.empty(0)
+
+
+def _log_factorial_table(count: int) -> np.ndarray:
+    """gammaln(k + 1) for k = 0 .. count - 1, as a read-only view."""
+    global _log_factorials
+    table = _log_factorials
+    if table.size < count:
+        table = gammaln(np.arange(1.0, max(count, 2 * table.size) + 1.0))
+        table.flags.writeable = False
+        _log_factorials = table
+    return table[:count]
+
+
 class Ncx2Family:
     """A fixed family of 2-dof noncentral chi-square laws evaluated jointly.
 
     The gain-distribution quadrature needs F(x; lam_i) and its complement at
     one shared abscissa for every quadrature node's noncentrality lam_i. The
     Poisson mixture weights P(N_wi = k) depend only on the lam_i, so they are
-    built once here as a dense (len(lams), kmax+1) matrix; each abscissa then
-    costs one Poisson pmf row in k plus one matrix-vector product per tail
-    and one for the density.
+    built once here as a dense (len(lams), kmax+1) matrix, in one buffer,
+    with ln k! read from a shared table. Each abscissa then costs one Poisson
+    pmf row in k (kmax+1 exponentials) plus one matrix-vector product per
+    tail and one for the density. The block factors of the gain distribution
+    use only the lower tail and the density: _lower_tail gives both from a
+    single pmf row and two products, bit for bit what tails and pdf return.
 
     Both tails come from cumulative sums taken in the direction that keeps
     them sums of positive terms (forward for the lower Poisson CDF, reverse
@@ -203,27 +224,45 @@ class Ncx2Family:
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1 or lams.size == 0:
             raise ValueError("Ncx2Family requires a 1-d nonempty noncentrality array")
-        if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
+        top = float(lams.max())
+        if not (float(lams.min()) >= 0.0 and top < math.inf):  # NaN fails both
             raise ValueError("noncentralities must be finite and >= 0")
         self.lams = lams
         means = 0.5 * lams
-        _, hi = _poisson_window(float(means.max()))
+        _, hi = _poisson_window(0.5 * top)
         if lams.size * (hi + 1) > (1 << 24):
             raise NumericError(
                 "noncentral chi-square family too large to tabulate "
-                f"(max noncentrality {lams.max():.3e}); "
+                f"(max noncentrality {top:.3e}); "
                 "reduce the correlation parameter or the quadrature order"
             )
         self._kmax = hi
         k = np.arange(hi + 1, dtype=float)
         self._k = k
-        self._lgk = gammaln(k + 1.0)
-        logm = np.log(np.maximum(means, 1e-300))[:, None]
-        self._mix = np.exp(k[None, :] * logm - means[:, None] - self._lgk[None, :])
+        self._lgk = _log_factorial_table(hi + 1)
+        # exp(k ln m - m - ln k!), one operation at a time in one buffer
+        mix = np.multiply(k[None, :], np.log(np.maximum(means, 1e-300))[:, None])
+        np.subtract(mix, means[:, None], out=mix)
+        np.subtract(mix, self._lgk, out=mix)
+        self._mix = np.exp(mix, out=mix)
 
     def _pmf_y(self, x):
+        # P(N_y = k) for N_y ~ Pois(x / 2), in one buffer
         y = 0.5 * x
-        return np.exp(self._k * math.log(max(y, 1e-300)) - y - self._lgk)
+        row = np.multiply(self._k, math.log(max(y, 1e-300)))
+        np.subtract(row, y, out=row)
+        np.subtract(row, self._lgk, out=row)
+        return np.exp(row, out=row)
+
+    def _cdf(self, pmf_y, x):
+        # F(x; lam_i) = sum_k P(N_wi = k) P(N_y > k); P(N_y > k) is the
+        # within-window sum over j > k, reversed, plus P(N_y > kmax).
+        upper = np.empty_like(pmf_y)
+        np.cumsum(pmf_y[:0:-1], out=upper[-2::-1])
+        beyond = float(gammainc(self._kmax + 1.0, 0.5 * x))
+        upper[:-1] += beyond
+        upper[-1] = beyond
+        return np.clip(self._mix @ upper, 0.0, 1.0)
 
     def tails(self, x):
         """Return (cdf, sf) arrays: F(x; lam_i) and 1 - F(x; lam_i) per law."""
@@ -232,14 +271,8 @@ class Ncx2Family:
             raise ValueError("tails requires finite x >= 0")
         pmf_y = self._pmf_y(x)
         lower = np.minimum(np.cumsum(pmf_y), 1.0)  # P(N_y <= k), window part
-        rev = np.cumsum(pmf_y[::-1])[::-1]  # sum_{j >= k} within window
-        beyond = float(gammainc(self._kmax + 1.0, 0.5 * x))  # P(N_y > kmax)
-        upper = np.empty_like(pmf_y)  # P(N_y > k)
-        upper[:-1] = rev[1:] + beyond
-        upper[-1] = beyond
         sf = self._mix @ lower
-        cdf = self._mix @ upper
-        return np.clip(cdf, 0.0, 1.0), np.clip(sf, 0.0, 1.0)
+        return self._cdf(pmf_y, x), np.clip(sf, 0.0, 1.0)
 
     def pdf(self, x):
         """Densities f(x; lam_i) for every law in the family.
@@ -252,3 +285,8 @@ class Ncx2Family:
         if not math.isfinite(x) or x < 0.0:
             raise ValueError("pdf requires finite x >= 0")
         return 0.5 * (self._mix @ self._pmf_y(x))
+
+    def _lower_tail(self, x: float, density: bool):
+        """(tails(x)[0], pdf(x) if density else None) from one pmf row; x > 0."""
+        pmf_y = self._pmf_y(x)
+        return self._cdf(pmf_y, x), (0.5 * (self._mix @ pmf_y) if density else None)

@@ -21,6 +21,7 @@ pin the achieved accuracy so regressions stay visible.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from fblfas.fas_stats import (
 )
 from fblfas.metrics import (
     mrc_conditional_bler,
+    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     statistical_bler,
@@ -259,6 +261,8 @@ def test_criterion_9_determinism(criterion_log):
             cfg, samples=70_000, seed=5, workers=w),
         "mrc_conditional_bler": lambda w: mrc_conditional_bler(
             2, cfg, trials=70_000, seed=5, workers=w),
+        "mrc_conditional_bler_sweep": lambda w: mrc_conditional_bler_sweep(
+            2, [cfg, replace(cfg, users=9), cfg], trials=70_000, seed=5, workers=w),
     }
     mismatched = []
     for name, run in checks.items():

@@ -14,9 +14,9 @@ from fblfas.cli import (
     parse_int_list,
     render_csv,
 )
-from fblfas import montecarlo
+from fblfas import montecarlo, parallel
 from fblfas.fas_stats import GainDistribution
-from fblfas.metrics import _TAIL_MASS
+from fblfas.metrics import _TAIL_MASS, mrc_conditional_bler
 from fblfas.montecarlo import empirical_outage
 
 
@@ -243,6 +243,39 @@ class TestSweepCommands:
         _, header, rows = parse_csv(out)
         assert header == ["snr_db", "fas_N5", "mrc_L1"]
         assert rows[1][1] < rows[0][1]  # outage falls with SNR
+
+    def test_bler_vs_snr_draws_each_mrc_chunk_once(self, capsys, monkeypatch):
+        # the MRC gains depend on (L, sigma^2, trials, seed) only, so every
+        # SNR of the curve reads one set of draws per branch count; 70,000
+        # trials end in a ragged chunk
+        draws = Counter()
+        chunk_rng = parallel.chunk_rng
+
+        class CountedGenerator:
+            def __init__(self, seed, index):
+                self._rng, self._key = chunk_rng(seed, index), (seed, index)
+
+            def gamma(self, shape, scale, size):
+                draws[shape, scale, size, self._key] += 1
+                return self._rng.gamma(shape=shape, scale=scale, size=size)
+
+        monkeypatch.setattr(parallel, "chunk_rng", CountedGenerator)
+        code, out, err = run_cli(capsys, [
+            "bler-vs-snr", "--snr-db", "10,20", "--ports", "5", "--mrc", "1,2",
+            "--mrc-trials", "70000", "--seed", "4"])
+        assert code == 0 and err == ""
+        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
+        assert draws == Counter({(branches, 2.0, size, (4, index)): 1
+                                 for branches in (1, 2)
+                                 for index, size in enumerate((full, rest))})
+        monkeypatch.undo()
+        _, header, rows = parse_csv(out)
+        for branches in (1, 2):
+            column = header.index(f"mrc_L{branches}")
+            for snr, row in zip((10.0, 20.0), rows):
+                cfg = SystemConfig.from_snr_db(ports=1, antenna_length=0.5, users=10,
+                                               blocklength=5, snr_db=snr)
+                assert row[column] == mrc_conditional_bler(branches, cfg, 70_000, seed=4)
 
     def test_op_vs_u_mc_equals_per_point_outage(self, capsys):
         # one draw per port count serves the whole sweep; U = 20 is

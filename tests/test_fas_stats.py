@@ -25,7 +25,7 @@ from fblfas.fas_stats import (
     quantile,
 )
 from fblfas.quadrature import gauss_laguerre
-from fblfas.specfun import ncx2_cdf
+from fblfas.specfun import Ncx2Family, ncx2_cdf
 
 # mpmath, dps=30, sigma^2 = 2 reference scale
 FACTOR_REFERENCE = [
@@ -114,6 +114,27 @@ class TestBlockFactor:
         got = block_cdf_factor_adaptive(0.97, 497, 0.0526, tol=1e-12 * want)
         assert got == pytest.approx(want, rel=1e-10)
         assert block_cdf_factor(0.97, 497, 0.0526) == pytest.approx(got, rel=1e-10)
+
+    def test_block_factor_families_lower_tail_is_tails_bit_for_bit(self):
+        # the block factors read the lower tail and the density from one
+        # pmf row; on the families they build at mu2 = 0.97 (the split
+        # rule's, with kmax from about 40 to about 1,300, and the Laguerre
+        # nodes') that is exactly what tails and pdf return
+        lam_rate = 2.0 * 0.97 / 0.03
+        laguerre = Ncx2Family(lam_rate * gauss_laguerre(32).nodes)
+        cases = [(5.0, laguerre), (1500.0, laguerre)]
+        for x in np.geomspace(5.0, 1500.0, 7):
+            for size in (2, 5, 31, 120, 497):
+                _, lams, _ = fas_stats._latent_split(float(x), lam_rate, size, 32)
+                cases.append((float(x), Ncx2Family(lams)))
+        for x, family in cases:
+            cdf, pdf = family._lower_tail(x, density=True)
+            assert np.array_equal(cdf, family.tails(x)[0]), (x, family._kmax)
+            assert np.array_equal(pdf, family.pdf(x)), (x, family._kmax)
+            alone, none = family._lower_tail(x, density=False)
+            assert np.array_equal(alone, cdf) and none is None
+        kmaxes = [family._kmax for _, family in cases[2:]]
+        assert min(kmaxes) <= 40 and max(kmaxes) > 1200
 
     def test_singleton_factor_in_closed_form(self):
         for mu2 in (0.1, 0.97):

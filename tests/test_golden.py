@@ -59,14 +59,14 @@ def test_output_matches_golden(name, capsys):
 def test_bler_vs_n_evaluates_the_mrc_benchmark_once_per_branch_count(monkeypatch, capsys):
     # every port count shares the single-antenna MRC config
     calls = []
-    original = cli.mrc_conditional_bler
+    original = cli.mrc_conditional_bler_sweep
 
-    def counted(branches, config, trials, seed):
-        calls.append(branches)
-        return original(branches, config, trials, seed)
+    def counted(branches, configs, trials, seed):
+        calls.append((branches, len(configs)))
+        return original(branches, configs, trials, seed)
 
-    monkeypatch.setattr(cli, "mrc_conditional_bler", counted)
+    monkeypatch.setattr(cli, "mrc_conditional_bler_sweep", counted)
     assert main(["bler-vs-n", "--ports", "5,10,20", "--mrc", "1,2",
                  "--mrc-trials", "1000"]) == 0
-    assert sorted(calls) == [1, 2]
+    assert sorted(calls) == [(1, 3), (2, 3)]
     capsys.readouterr()

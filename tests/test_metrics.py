@@ -8,12 +8,13 @@ scipy.integrate.quad and mpmath (0.523720870407838778, both routes to 15
 digits).
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fblfas import metrics
+from fblfas import metrics, parallel
 from fblfas.channel import BlockModel, SystemConfig, build_correlation, fit_block_model
 from fblfas.fas_stats import GainDistribution, block_cdf_factor, block_cdf_factor_adaptive
 from fblfas.metrics import (
@@ -22,6 +23,7 @@ from fblfas.metrics import (
     conditional_bler,
     conditional_bler_raw,
     mrc_conditional_bler,
+    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     outage_threshold,
@@ -115,6 +117,27 @@ class TestConditionalBler:
         batch = conditional_bler_raw(8, 5, gains, 0.2, 1.0)
         singles = [conditional_bler_raw(8, 5, float(g), 0.2, 1.0) for g in gains]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+    @pytest.mark.parametrize("users", [1, 2, 10, 20])
+    def test_array_kernel_keeps_the_former_expression_bits(self, users):
+        # the former kernel, written out: z on an (n, U) array, one fresh
+        # temporary per operation, then the (n, U) product with the prefix
+        gains = np.random.default_rng(users).gamma(2.0, 2.0, 100_000)
+        active = np.arange(1, users + 1, dtype=float)
+        prefix = active / users
+        exponents = np.array([combinatorial_exponent(users, k) for k in range(1, users + 1)])
+        for blocklength in (1, 5, 200):
+            c = 0.5 * (1.0 / blocklength) / 0.05
+            former = np.exp(exponents - blocklength * np.log1p(
+                c * gains[:, None] * active)) @ prefix
+            got = conditional_bler_raw(users, blocklength, gains, 1.0 / blocklength, 0.05)
+            assert np.array_equal(got, former), blocklength
+            # a scalar is a one-row product, whose bits may differ from the
+            # same row of the n-row product
+            one = np.exp(exponents - blocklength * np.log1p(
+                c * gains[7:8, None] * active)) @ prefix
+            assert conditional_bler_raw(users, blocklength, float(gains[7]),
+                                        1.0 / blocklength, 0.05) == one[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -255,6 +278,46 @@ class TestMrcConditionalBler:
         cfg = single_port_config(users=10, noise_variance=100.0)
         val = mrc_conditional_bler(3, cfg, trials=20_000, seed=1)
         assert 0.0 <= val <= 1.0
+
+    def test_peak_memory_below_two_term_arrays_per_chunk(self):
+        # the former kernel held z, log1p(z) and one more (n, U) temporary
+        # at once, 3.1 arrays at its peak
+        cfg = single_port_config(users=10)
+        mrc_conditional_bler(2, cfg, trials=1000, seed=1)
+        tracemalloc.start()
+        try:
+            mrc_conditional_bler(2, cfg, trials=100_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * parallel.CHUNK_DRAWS * 10 * 8
+
+
+class TestMrcConditionalBlerSweep:
+    CONFIGS = [single_port_config(users=10, noise_variance=0.05),
+               single_port_config(users=3, noise_variance=0.5),
+               single_port_config(users=10, noise_variance=0.05),  # repeated
+               single_port_config(users=4, blocklength=9, noise_variance=0.01),
+               single_port_config(users=10, noise_variance=0.05, antenna_length=2.0)]
+
+    def test_equals_per_point_calls(self):
+        # two full chunks and a ragged third
+        trials = 2 * parallel.CHUNK_DRAWS + 4321
+        for branches in (1, 3):
+            got = mrc_conditional_bler_sweep(branches, self.CONFIGS, trials, seed=11)
+            want = [mrc_conditional_bler(branches, c, trials, seed=11) for c in self.CONFIGS]
+            assert got == want
+        assert got[0] == got[2] == got[4]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mrc_conditional_bler_sweep(1, [], 1000, seed=1)
+        with pytest.raises(ValueError):
+            mrc_conditional_bler_sweep(1, [single_port_config(),
+                                           single_port_config(channel_variance=1.0)],
+                                       1000, seed=1)
+        with pytest.raises(ValueError):
+            mrc_conditional_bler_sweep(0, [single_port_config()], 1000, seed=1)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln
 
+from fblfas import specfun
 from fblfas.errors import NumericError
 from fblfas.specfun import (
     Ncx2Family,
@@ -177,6 +179,25 @@ class TestNcx2Family:
             cdf, sf = fam.tails(x)
             np.testing.assert_allclose(cdf + sf, 1.0, atol=1e-10)
 
+    def test_log_factorial_table_is_gammaln_and_grows_by_rebinding(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_log_factorials", np.empty(0))
+        first = specfun._log_factorial_table(64)
+        before = specfun._log_factorials
+        kept = before.copy()
+        small = specfun._log_factorial_table(40)
+        assert specfun._log_factorials is before and before.size == 64
+        grown = specfun._log_factorial_table(3000)
+        assert specfun._log_factorials is not before and specfun._log_factorials.size >= 3000
+        assert np.array_equal(before, kept)  # a reader of the old table sees no change
+        k = np.arange(3000, dtype=float)
+        assert np.array_equal(grown, gammaln(k + 1.0))
+        assert np.array_equal(first, gammaln(k[:64] + 1.0))
+        assert np.array_equal(small, gammaln(k[:40] + 1.0))
+        assert not grown.flags.writeable
+        # a family wider than the table grows it and keeps its bits
+        fam = Ncx2Family(np.array([0.0, 9000.0]))
+        assert np.array_equal(fam._lgk, gammaln(np.arange(fam._kmax + 1.0) + 1.0))
+
     def test_tabulation_guard(self):
         # a huge family at huge noncentrality would need an absurd Poisson
         # window; that is a configuration error, not something to grind out
@@ -186,8 +207,9 @@ class TestNcx2Family:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             Ncx2Family(np.array([]))
-        with pytest.raises(ValueError):
-            Ncx2Family(np.array([1.0, -2.0]))
+        for bad in (-2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Ncx2Family(np.array([1.0, bad]))
         fam = Ncx2Family(np.array([1.0]))
         with pytest.raises(ValueError):
             fam.tails(-1.0)
