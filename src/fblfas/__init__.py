@@ -56,7 +56,6 @@ from .metrics import (
     conditional_bler,
     conditional_bler_raw,
     mrc_conditional_bler,
-    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     outage_threshold,
@@ -106,7 +105,6 @@ __all__ = [
     "load_correlation",
     "marcum_q1",
     "mrc_conditional_bler",
-    "mrc_conditional_bler_sweep",
     "mrc_outage",
     "ncx2_cdf",
     "ncx2_pdf",

@@ -46,7 +46,7 @@ from .fas_stats import (
     pdf_gfas,
 )
 from .metrics import (
-    mrc_conditional_bler_sweep,
+    mrc_conditional_bler,
     mrc_outage,
     outage_probability,
     statistical_bler,
@@ -331,11 +331,13 @@ def _sweep(row, args) -> PerformanceCurve:
                    [c for c in points if c.ports <= MAX_MC_PORTS])
     mrc_configs = configs(ports=1)
     if row.outage:
-        bench = _once(lambda b: [mrc_outage(b, c) for c in mrc_configs], args.mrc)
+        pairs = _once(lambda p: mrc_outage(*p),
+                      [(branches, c) for branches in args.mrc for c in mrc_configs])
+        bench = {branches: [pairs[branches, c] for c in mrc_configs] for branches in args.mrc}
     else:
         # one set of gain draws per branch count serves the whole curve
-        bench = _once(lambda b: mrc_conditional_bler_sweep(b, mrc_configs, args.mrc_trials,
-                                                           args.seed), args.mrc)
+        bench = _once(lambda b: mrc_conditional_bler(b, mrc_configs, args.mrc_trials, args.seed),
+                      args.mrc)
     series = {}
     for suffix, cs in curves.items():
         series["fas" + suffix] = tuple(fas[c] for c in cs)

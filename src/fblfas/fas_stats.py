@@ -158,25 +158,6 @@ def _panel_rule(order: int) -> QuadratureRule:
     return gauss_legendre(order)
 
 
-@lru_cache(maxsize=1024)
-def _split_constants(size: int) -> tuple:
-    """The x-independent numbers of _latent_split for one block size.
-
-    Returns (width, offset, reach, root): the bracket's transition width in
-    s and its centre's offset below r, from F2(x; s^2) ~ Phi(r - s) (the
-    bracket is 1/2 where 1 - F2 = 1 - 2^(-1/L)); the distance below r past
-    which the bracket is 1 to within tol; and tol^(1/L).
-    """
-    half = -math.expm1(-math.log(2.0) / size)
-    z = -float(ndtri(half))
-    width = (1.0 - half) / (size * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
-    # The two tail bounds bracket the crossing; the centre is their midpoint.
-    offset = 0.5 * (z + math.sqrt(-2.0 * math.log(half)))
-    log_tol = math.log(_NEGLIGIBLE)
-    return (width, offset, math.sqrt(2.0 * (math.log(size) - log_tol)),
-            math.exp(log_tol / size))
-
-
 def _latent_split(x: float, lam_rate: float, size: int, order: int):
     """Split rule for G_size(x), or None where plain Gauss-Laguerre suffices.
 
@@ -188,7 +169,11 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
     r = math.sqrt(x)
     y = 0.5 * x
     f0 = -math.expm1(-y)  # F2(x; 0), the bracket root at s = 0
-    width, offset, reach, root = _split_constants(size)
+    # Transition centre and width from F2(x; s^2) ~ Phi(r - s): the bracket
+    # is 1/2 where 1 - F2 = 1 - 2^(-1/L).
+    half = -math.expm1(-math.log(2.0) / size)
+    z = -float(ndtri(half))
+    width = (1.0 - half) / (size * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
     # ln F2 is concave in the noncentrality (a Poisson transform of a
     # log-concave sequence), so its slope at 0, -y e^(-y) / (2 f0), bounds
     # the bracket by f0^L exp(-s^2 / (2 sigma0^2)).
@@ -200,20 +185,20 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
 
     log_tol = math.log(_NEGLIGIBLE)
     # 1 - F2 <= exp(-(r - s)^2 / 2) below r, so the bracket is 1 - tol there.
-    s_lo = max(0.0, r - reach)
+    s_lo = max(0.0, r - math.sqrt(2.0 * (math.log(size) - log_tol)))
     # Beyond s_hi the bracket is below tol * f0^L by F2 <= Phi(r - s), by the
     # concavity bound, or the e^(-u) weight is below tol.
     s_hi = min(
-        r - float(ndtri(root * f0)),
+        r - float(ndtri(math.exp(log_tol / size) * f0)),
         sigma0 * math.sqrt(-2.0 * log_tol),
         math.sqrt(-lam_rate * log_tol),
     )
     base = -math.expm1(-s_lo * s_lo / lam_rate)
     if not s_hi > s_lo:
         return base, np.empty(0), np.empty(0)
-    # When the centre falls below s_lo the bracket decays from s = 0 on the
-    # scale sigma0.
-    centre = r - offset
+    # The two tail bounds bracket the crossing; take their midpoint. When
+    # it falls below s_lo the bracket decays from s = 0 on the scale sigma0.
+    centre = r - 0.5 * (z + math.sqrt(-2.0 * math.log(half)))
     if centre < s_lo:
         centre, width = s_lo, min(width, sigma0)
     flank = _FLANK_WIDTHS * width
@@ -226,6 +211,11 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
     # ds-weight of the e^(-u) du measure: (2 s / lam) exp(-s^2 / lam)
     weights = (halfw * panel.weights).ravel() * (2.0 * s / lam_rate) * np.exp(-s * s / lam_rate)
     return base, s * s, weights
+
+
+def _tabulate(family: Ncx2Family, x: float, density: bool):
+    cdfs, _ = family.tails(x)
+    return cdfs, (family.pdf(x) if density else None)
 
 
 def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
@@ -251,11 +241,11 @@ def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
         plan = _latent_split(x, lam_rate, size, rule.order)
         if plan is None:
             if laguerre is None:
-                laguerre = laguerre_family()._lower_tail(x, density)
+                laguerre = _tabulate(laguerre_family(), x, density)
             base, weights, (cdfs, dens) = 0.0, rule.weights, laguerre
         else:
             base, lams, weights = plan
-            cdfs, dens = Ncx2Family(lams)._lower_tail(x, density) if lams.size else (lams, lams)
+            cdfs, dens = _tabulate(Ncx2Family(lams), x, density) if lams.size else (lams, lams)
         powm1 = cdfs ** (size - 1)
         values.append(min(base + float(np.dot(weights, powm1 * cdfs)), 1.0))
         if density:

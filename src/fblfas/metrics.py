@@ -258,31 +258,26 @@ def mrc_outage(branches, config: SystemConfig) -> float:
     return float(gammainc(branches, spec.t_th / config.channel_variance))
 
 
-def mrc_conditional_bler(branches, config: SystemConfig, trials, seed, workers=None) -> float:
+def mrc_conditional_bler(branches, config, trials, seed, workers=None):
     """Average clamped union bound over seeded Gamma(L, sigma^2) gain draws.
 
     Deterministic for a given seed regardless of worker count (fixed-size
     chunks with per-chunk generators, exact order-independent reduction).
-    """
-    return mrc_conditional_bler_sweep(branches, [config], trials, seed, workers)[0]
 
-
-def mrc_conditional_bler_sweep(branches, configs, trials, seed, workers=None) -> list:
-    """mrc_conditional_bler at every config, from one set of gain draws.
-
-    The configs must share the channel variance: the Gamma(L, sigma^2) gains
+    config may also be a sequence of SystemConfigs sharing channel_variance,
+    for which a list of averages in the same order is returned. The gains
     depend only on (L, sigma^2, trials, seed), so a sweep over users, SNR or
-    blocklength changes only the bound evaluated on them. Each chunk is drawn
-    once and every distinct bound (users, blocklength and the two variances)
-    sums its clamped values over it; the chunk sums are then reduced per
-    bound exactly as in a single-config call, so the averages equal
-    per-point calls bit for bit.
+    blocklength changes only the bound evaluated on them: each chunk is drawn
+    once and each distinct bound (users, blocklength and the two variances)
+    sums its clamped values over it, so every average equals a call with its
+    config alone bit for bit.
     """
     branches = _positive_int("branches", branches)
     trials = _positive_int("trials", trials)
-    configs = list(configs)
+    single = isinstance(config, SystemConfig)
+    configs = [config] if single else list(config)
     if not configs:
-        raise ValueError("configs must not be empty")
+        raise ValueError("config must be a SystemConfig or a nonempty sequence of them")
     variance = configs[0].channel_variance
     if any(c.channel_variance != variance for c in configs):
         raise ValueError("configs must share channel_variance")
@@ -299,4 +294,6 @@ def mrc_conditional_bler_sweep(branches, configs, trials, seed, workers=None) ->
     partial_sums = parallel.run_chunks(task, trials, workers)
     averages = {key: math.fsum(sums[j] for sums in partial_sums) / trials
                 for j, key in enumerate(distinct)}
+    if single:
+        return averages[bounds[0]]
     return [averages[key] for key in bounds]

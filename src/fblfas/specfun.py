@@ -208,9 +208,9 @@ class Ncx2Family:
     built once here as a dense (len(lams), kmax+1) matrix, in one buffer,
     with ln k! read from a shared table. Each abscissa then costs one Poisson
     pmf row in k (kmax+1 exponentials) plus one matrix-vector product per
-    tail and one for the density. The block factors of the gain distribution
-    use only the lower tail and the density: _lower_tail gives both from a
-    single pmf row and two products, bit for bit what tails and pdf return.
+    tail and one for the density. The family keeps its last row, so pdf(x)
+    right after tails(x), as the gain density asks for them, builds no
+    second row.
 
     Both tails come from cumulative sums taken in the direction that keeps
     them sums of positive terms (forward for the lower Poisson CDF, reverse
@@ -245,24 +245,23 @@ class Ncx2Family:
         np.subtract(mix, means[:, None], out=mix)
         np.subtract(mix, self._lgk, out=mix)
         self._mix = np.exp(mix, out=mix)
+        self._last_row = (math.nan, None)  # no row yet; NaN equals no x
 
     def _pmf_y(self, x):
-        # P(N_y = k) for N_y ~ Pois(x / 2), in one buffer
+        # P(N_y = k) for N_y ~ Pois(x / 2), in one buffer. The last row is
+        # kept read-only with its x, rebound as one pair, so threads sharing
+        # the family always read a row with its own abscissa.
+        last_x, row = self._last_row
+        if x == last_x:
+            return row
         y = 0.5 * x
         row = np.multiply(self._k, math.log(max(y, 1e-300)))
         np.subtract(row, y, out=row)
         np.subtract(row, self._lgk, out=row)
-        return np.exp(row, out=row)
-
-    def _cdf(self, pmf_y, x):
-        # F(x; lam_i) = sum_k P(N_wi = k) P(N_y > k); P(N_y > k) is the
-        # within-window sum over j > k, reversed, plus P(N_y > kmax).
-        upper = np.empty_like(pmf_y)
-        np.cumsum(pmf_y[:0:-1], out=upper[-2::-1])
-        beyond = float(gammainc(self._kmax + 1.0, 0.5 * x))
-        upper[:-1] += beyond
-        upper[-1] = beyond
-        return np.clip(self._mix @ upper, 0.0, 1.0)
+        np.exp(row, out=row)
+        row.flags.writeable = False
+        self._last_row = (x, row)
+        return row
 
     def tails(self, x):
         """Return (cdf, sf) arrays: F(x; lam_i) and 1 - F(x; lam_i) per law."""
@@ -271,8 +270,16 @@ class Ncx2Family:
             raise ValueError("tails requires finite x >= 0")
         pmf_y = self._pmf_y(x)
         lower = np.minimum(np.cumsum(pmf_y), 1.0)  # P(N_y <= k), window part
+        # P(N_y > k): the within-window sum over j > k, taken from the top
+        # down, plus P(N_y > kmax)
+        upper = np.empty_like(pmf_y)
+        np.cumsum(pmf_y[:0:-1], out=upper[-2::-1])
+        beyond = float(gammainc(self._kmax + 1.0, 0.5 * x))
+        upper[:-1] += beyond
+        upper[-1] = beyond
         sf = self._mix @ lower
-        return self._cdf(pmf_y, x), np.clip(sf, 0.0, 1.0)
+        cdf = self._mix @ upper
+        return np.clip(cdf, 0.0, 1.0), np.clip(sf, 0.0, 1.0)
 
     def pdf(self, x):
         """Densities f(x; lam_i) for every law in the family.
@@ -285,8 +292,3 @@ class Ncx2Family:
         if not math.isfinite(x) or x < 0.0:
             raise ValueError("pdf requires finite x >= 0")
         return 0.5 * (self._mix @ self._pmf_y(x))
-
-    def _lower_tail(self, x: float, density: bool):
-        """(tails(x)[0], pdf(x) if density else None) from one pmf row; x > 0."""
-        pmf_y = self._pmf_y(x)
-        return self._cdf(pmf_y, x), (0.5 * (self._mix @ pmf_y) if density else None)

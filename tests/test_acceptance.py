@@ -43,7 +43,6 @@ from fblfas.fas_stats import (
 )
 from fblfas.metrics import (
     mrc_conditional_bler,
-    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     statistical_bler,
@@ -261,7 +260,7 @@ def test_criterion_9_determinism(criterion_log):
             cfg, samples=70_000, seed=5, workers=w),
         "mrc_conditional_bler": lambda w: mrc_conditional_bler(
             2, cfg, trials=70_000, seed=5, workers=w),
-        "mrc_conditional_bler_sweep": lambda w: mrc_conditional_bler_sweep(
+        "mrc_conditional_bler over a curve": lambda w: mrc_conditional_bler(
             2, [cfg, replace(cfg, users=9), cfg], trials=70_000, seed=5, workers=w),
     }
     mismatched = []

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaln
 
 from fblfas import fas_stats
 from fblfas.channel import BlockModel, build_correlation, fit_block_model
@@ -25,7 +26,7 @@ from fblfas.fas_stats import (
     quantile,
 )
 from fblfas.quadrature import gauss_laguerre
-from fblfas.specfun import Ncx2Family, ncx2_cdf
+from fblfas.specfun import Ncx2Family, _poisson_window, ncx2_cdf
 
 # mpmath, dps=30, sigma^2 = 2 reference scale
 FACTOR_REFERENCE = [
@@ -115,25 +116,44 @@ class TestBlockFactor:
         assert got == pytest.approx(want, rel=1e-10)
         assert block_cdf_factor(0.97, 497, 0.0526) == pytest.approx(got, rel=1e-10)
 
-    def test_block_factor_families_lower_tail_is_tails_bit_for_bit(self):
-        # the block factors read the lower tail and the density from one
-        # pmf row; on the families they build at mu2 = 0.97 (the split
-        # rule's, with kmax from about 40 to about 1,300, and the Laguerre
-        # nodes') that is exactly what tails and pdf return
+    def test_block_factor_families_keep_the_former_kernel_bits(self):
+        # the former kernel, written out: a fresh temporary per operation for
+        # the table and the pmf row, both tails from whole cumulative sums and
+        # a second row for the density. On the families the block factors
+        # build at mu2 = 0.97 (the split rule's, with kmax from about 40 to
+        # about 1,300, and the Laguerre nodes', reused across abscissas) the
+        # family's tails and its density, read from the row tails kept,
+        # equal it bit for bit.
+        def former(lams, x):
+            means = 0.5 * lams
+            k = np.arange(_poisson_window(float(means.max()))[1] + 1, dtype=float)
+            lgk = gammaln(k + 1.0)
+            mix = np.exp(k[None, :] * np.log(np.maximum(means, 1e-300))[:, None]
+                         - means[:, None] - lgk[None, :])
+            y = 0.5 * x
+            pmf = np.exp(k * math.log(max(y, 1e-300)) - y - lgk)
+            rev = np.cumsum(pmf[::-1])[::-1]
+            beyond = float(gammainc(k[-1] + 1.0, 0.5 * x))
+            upper = np.empty_like(pmf)
+            upper[:-1] = rev[1:] + beyond
+            upper[-1] = beyond
+            lower = np.minimum(np.cumsum(pmf), 1.0)
+            return (np.clip(mix @ upper, 0.0, 1.0), np.clip(mix @ lower, 0.0, 1.0),
+                    0.5 * (mix @ pmf))
+
         lam_rate = 2.0 * 0.97 / 0.03
         laguerre = Ncx2Family(lam_rate * gauss_laguerre(32).nodes)
-        cases = [(5.0, laguerre), (1500.0, laguerre)]
+        cases = [(x, laguerre) for x in (5.0, 1500.0, 5.0)]
         for x in np.geomspace(5.0, 1500.0, 7):
             for size in (2, 5, 31, 120, 497):
                 _, lams, _ = fas_stats._latent_split(float(x), lam_rate, size, 32)
                 cases.append((float(x), Ncx2Family(lams)))
         for x, family in cases:
-            cdf, pdf = family._lower_tail(x, density=True)
-            assert np.array_equal(cdf, family.tails(x)[0]), (x, family._kmax)
-            assert np.array_equal(pdf, family.pdf(x)), (x, family._kmax)
-            alone, none = family._lower_tail(x, density=False)
-            assert np.array_equal(alone, cdf) and none is None
-        kmaxes = [family._kmax for _, family in cases[2:]]
+            cdf, sf, pdf = former(family.lams, x)
+            got_cdf, got_sf = family.tails(x)
+            assert np.array_equal(got_cdf, cdf) and np.array_equal(got_sf, sf), x
+            assert np.array_equal(family.pdf(x), pdf), (x, family._kmax)
+        kmaxes = [family._kmax for _, family in cases[3:]]
         assert min(kmaxes) <= 40 and max(kmaxes) > 1200
 
     def test_singleton_factor_in_closed_form(self):

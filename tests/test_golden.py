@@ -14,9 +14,10 @@ Rewrite a file only for an output change that is intended and stated.
 """
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fblfas import cli
+from fblfas import cli, metrics, parallel
 from fblfas.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,16 +58,25 @@ def test_output_matches_golden(name, capsys):
 
 
 def test_bler_vs_n_evaluates_the_mrc_benchmark_once_per_branch_count(monkeypatch, capsys):
-    # every port count shares the single-antenna MRC config
-    calls = []
-    original = cli.mrc_conditional_bler_sweep
+    # every port count shares the single-antenna MRC config, so each branch
+    # count takes one call, and the bound runs once per chunk of its draws
+    # (70,000 trials: a full chunk and a ragged one)
+    calls, bounds = [], []
+    original = cli.mrc_conditional_bler
+    bound = metrics.conditional_bler
 
-    def counted(branches, configs, trials, seed):
-        calls.append((branches, len(configs)))
-        return original(branches, configs, trials, seed)
+    def counted(branches, config, trials, seed):
+        calls.append(branches)
+        return original(branches, config, trials, seed)
 
-    monkeypatch.setattr(cli, "mrc_conditional_bler_sweep", counted)
+    def counted_bound(users, blocklength, gain, codeword_variance, noise_variance):
+        bounds.append(np.size(gain))
+        return bound(users, blocklength, gain, codeword_variance, noise_variance)
+
+    monkeypatch.setattr(cli, "mrc_conditional_bler", counted)
+    monkeypatch.setattr(metrics, "conditional_bler", counted_bound)
     assert main(["bler-vs-n", "--ports", "5,10,20", "--mrc", "1,2",
-                 "--mrc-trials", "1000"]) == 0
-    assert sorted(calls) == [(1, 3), (2, 3)]
+                 "--mrc-trials", "70000"]) == 0
+    assert sorted(calls) == [1, 2]
+    assert sorted(bounds) == sorted(2 * parallel.chunk_sizes(70_000))
     capsys.readouterr()

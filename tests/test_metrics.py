@@ -9,6 +9,7 @@ digits).
 """
 import math
 import tracemalloc
+from collections import Counter
 import warnings
 
 import numpy as np
@@ -23,7 +24,6 @@ from fblfas.metrics import (
     conditional_bler,
     conditional_bler_raw,
     mrc_conditional_bler,
-    mrc_conditional_bler_sweep,
     mrc_outage,
     outage_probability,
     outage_threshold,
@@ -304,20 +304,38 @@ class TestMrcConditionalBlerSweep:
         # two full chunks and a ragged third
         trials = 2 * parallel.CHUNK_DRAWS + 4321
         for branches in (1, 3):
-            got = mrc_conditional_bler_sweep(branches, self.CONFIGS, trials, seed=11)
+            got = mrc_conditional_bler(branches, self.CONFIGS, trials, seed=11)
             want = [mrc_conditional_bler(branches, c, trials, seed=11) for c in self.CONFIGS]
             assert got == want
         assert got[0] == got[2] == got[4]
 
+    def test_each_distinct_bound_runs_once_per_chunk(self, monkeypatch):
+        # configs 0, 2 and 4 differ only in the aperture, which the bound
+        # does not read: three distinct bounds on each of the three chunks
+        seen = Counter()
+        bound = metrics.conditional_bler
+
+        def counted(users, blocklength, gain, codeword_variance, noise_variance):
+            seen[users, blocklength, noise_variance, np.size(gain)] += 1
+            return bound(users, blocklength, gain, codeword_variance, noise_variance)
+
+        monkeypatch.setattr(metrics, "conditional_bler", counted)
+        sizes = parallel.chunk_sizes(2 * parallel.CHUNK_DRAWS + 4321)
+        mrc_conditional_bler(2, self.CONFIGS, sum(sizes), seed=11)
+        assert seen == Counter({(users, blocklength, noise, size): sizes.count(size)
+                                for users, blocklength, noise in
+                                ((10, 5, 0.05), (3, 5, 0.5), (4, 9, 0.01))
+                                for size in sizes})
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            mrc_conditional_bler_sweep(1, [], 1000, seed=1)
+            mrc_conditional_bler(1, [], 1000, seed=1)
         with pytest.raises(ValueError):
-            mrc_conditional_bler_sweep(1, [single_port_config(),
-                                           single_port_config(channel_variance=1.0)],
-                                       1000, seed=1)
+            mrc_conditional_bler(1, [single_port_config(),
+                                     single_port_config(channel_variance=1.0)],
+                                 1000, seed=1)
         with pytest.raises(ValueError):
-            mrc_conditional_bler_sweep(0, [single_port_config()], 1000, seed=1)
+            mrc_conditional_bler(0, [single_port_config()], 1000, seed=1)
 
 
 @pytest.fixture(scope="module")
