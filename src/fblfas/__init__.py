@@ -67,6 +67,7 @@ from .montecarlo import (
     empirical_outage,
     empirical_outage_sweep,
     empirical_statistical_bler,
+    empirical_statistical_bler_sweep,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +99,7 @@ __all__ = [
     "empirical_outage",
     "empirical_outage_sweep",
     "empirical_statistical_bler",
+    "empirical_statistical_bler_sweep",
     "fit_block_model",
     "gauss_laguerre",
     "integrate_adaptive",

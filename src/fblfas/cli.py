@@ -12,9 +12,9 @@ The six ``bler-vs-*`` and ``op-vs-*`` subcommands are rows of one table
 config of every point and evaluates each distinct config once: a repeated
 sweep value, or the single-antenna MRC benchmark that every port count
 shares, costs one evaluation. Monte Carlo overlays stop at MAX_MC_PORTS on
-every subcommand, with NaN cells past it; outage overlays draw once per
-port count, and the MRC error-bound benchmark once per branch count. The
-exact-channel error-bound overlays still draw per point.
+every subcommand, with NaN cells past it; the exact-channel overlays draw
+once per channel (port count and aperture), and the MRC error-bound
+benchmark once per branch count.
 
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
@@ -51,7 +51,7 @@ from .metrics import (
     outage_probability,
     statistical_bler,
 )
-from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler
+from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler_sweep
 from .quadrature import gauss_laguerre
 
 # Monte Carlo draws factor the dense N x N correlation matrix (one dense
@@ -300,10 +300,11 @@ def _sweep(row, args) -> PerformanceCurve:
     Columns are fas, then mc and mc_se when --mc-samples is set, suffixed
     _N{n} per port count where row.per_port, then one mrc_L{l} column per
     branch count on a single antenna (ports = 1). Repeated sweep values and
-    the MRC config that every port count shares are evaluated once, and the
-    MRC error bound of every sweep value is averaged over one set of gain
-    draws per branch count. Monte Carlo cells of configs with more than
-    MAX_MC_PORTS ports are NaN.
+    the MRC config that every port count shares are evaluated once. The
+    overlay of every point on one channel (ports, antenna_length) reads one
+    set of exact-channel draws, and the MRC error bound of every sweep value
+    is averaged over one set of gain draws per branch count. Monte Carlo
+    cells of configs with more than MAX_MC_PORTS ports are NaN.
     """
     values = getattr(args, row.option)
     fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
@@ -319,16 +320,16 @@ def _sweep(row, args) -> PerformanceCurve:
     metric = outage_probability if row.outage else statistical_bler
     fas = _once(lambda c: metric(c, dists[c.ports, c.antenna_length]), points)
     mc = {}
-    if args.mc_samples and row.outage:
-        # outage sweeps draw a curve per port count, all on one channel, so
-        # one set of draws serves every threshold of a curve
-        for cs in curves.values():
-            drawn = [c for c in cs if c.ports <= MAX_MC_PORTS]
-            if drawn:
-                mc.update(zip(drawn, empirical_outage_sweep(drawn, args.mc_samples, args.seed)))
-    elif args.mc_samples:
-        mc = _once(lambda c: empirical_statistical_bler(c, args.mc_samples, args.seed),
-                   [c for c in points if c.ports <= MAX_MC_PORTS])
+    if args.mc_samples:
+        # the points of one channel share one set of exact-channel draws
+        overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
+        channels = {}
+        for c in dict.fromkeys(points):
+            if c.ports <= MAX_MC_PORTS:
+                channels.setdefault((c.ports, c.antenna_length), []).append(c)
+        groups = list(channels.values())
+        ests = _map_points(lambda cs: overlay(cs, args.mc_samples, args.seed), groups)
+        mc = {c: e for cs, es in zip(groups, ests) for c, e in zip(cs, es)}
     mrc_configs = configs(ports=1)
     if row.outage:
         pairs = _once(lambda p: mrc_outage(*p),
@@ -420,7 +421,7 @@ def _add_sweep_flags(sub, row):
         sub.add_argument("--" + dest.replace("_", "-"), type=parse, default=parse(default),
                          help=f"{text} (default {default})")
     sub.add_argument("--mc-samples", type=int, default=0,
-                     help=f"exact-channel draws per point, N <= {MAX_MC_PORTS} only "
+                     help=f"exact-channel draws per channel, N <= {MAX_MC_PORTS} only "
                           "(0 disables; default 0)")
     mrc = "1,3,5" if row.outage else "1,2"
     sub.add_argument("--mrc", type=parse_int_list, default=parse_int_list(mrc),

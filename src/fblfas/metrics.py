@@ -105,7 +105,10 @@ def conditional_bler_raw(users, blocklength, gain, codeword_variance, noise_vari
     so the bits are too. They are formed a panel of gains at a time in a
     reused (U, panel) buffer, whose inner loops run along the gains, and
     copied into one C-ordered (n, U) array whose product with the prefix
-    weights is the one _union_bound takes.
+    weights is the one _union_bound takes. That product sums a row in an
+    order set by its place in the matrix, so a gain's last bits depend on
+    the batch: the chunk size (parallel.CHUNK_DRAWS) fixes the last bits of
+    every MC and MRC cell, and each bound runs on whole chunks.
     """
     users, blocklength = _bler_params(users, blocklength, codeword_variance, noise_variance)
     g = np.asarray(gain, dtype=float)

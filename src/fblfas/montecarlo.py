@@ -5,14 +5,14 @@ approximation, so gaps between these estimates and the analytic values
 include the block-model error on purpose. Draws follow the channel
 module's determinism contract: fixed-size chunks keyed by (seed, chunk
 index), order-independent reductions, identical output for any worker
-count.
+count. Each sweep draws its channel once and evaluates every config on
+those draws; the per-config estimates are one-config sweeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,23 +53,13 @@ def _checked_samples(samples) -> int:
     return int(samples)
 
 
-@lru_cache(maxsize=4)
 def _factor_transpose(ports, width) -> np.ndarray:
-    """Transposed r x N sampling matrix; a single port skips the spacing rule.
-
-    Memoised per (ports, width), since every point of a sweep over users or
-    SNR draws through the same factor; the array is read-only because every
-    caller shares it.
-    """
+    """Transposed r x N sampling matrix; a single port skips the spacing rule."""
     if not isinstance(ports, (int, np.integer)) or ports < 1:
         raise ValueError("ports must be a positive integer")
     if ports == 1:
-        factor = _identity_factor(1).factor
-    else:
-        factor = eigen_factor(build_correlation(int(ports), width)).factor
-    factor_t = factor.T
-    factor_t.flags.writeable = False
-    return factor_t
+        return _identity_factor(1).factor.T
+    return eigen_factor(build_correlation(int(ports), width)).factor.T
 
 
 def _max_gains(index, size, factor_t, sigma2, seed) -> np.ndarray:
@@ -118,80 +108,75 @@ def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None
     ]
 
 
+def _shared_channel(configs) -> tuple:
+    """The configs as a list, and the channel they must share.
+
+    The selected-port gain depends only on (ports, antenna_length,
+    channel_variance) and the seed, so the configs share one set of draws.
+    """
+    configs = list(configs)
+    channels = {(c.ports, c.antenna_length, c.channel_variance) for c in configs}
+    if len(channels) != 1:
+        raise ValueError("configs must be non-empty and share ports, antenna_length "
+                         "and channel_variance")
+    return configs, channels.pop()
+
+
 def empirical_statistical_bler(config: SystemConfig, samples, seed, workers=None) -> McEstimate:
     """Mean clamped error bound at the simulated selected-port gain."""
-    samples = _checked_samples(samples)
-    factor_t = _factor_transpose(config.ports, config.antenna_length)
-
-    def task(index, size):
-        gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
-        vals = conditional_bler(
-            config.users, config.blocklength, gains,
-            config.codeword_variance, config.noise_variance,
-        )
-        return float(np.sum(vals)), float(np.sum(vals * vals))
-
-    parts = parallel.run_chunks(task, samples, workers)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / samples
-    var = max((total_sq - samples * mean * mean) / (samples - 1), 0.0)
-    return McEstimate(
-        value=mean,
-        standard_error=math.sqrt(var / samples),
-        samples=samples,
-        seed=int(seed),
-    )
+    return empirical_statistical_bler_sweep([config], samples, seed, workers)[0]
 
 
 def empirical_outage(config: SystemConfig, samples, seed, workers=None) -> McEstimate:
     """Fraction of simulated draws whose selected-port gain misses t_th."""
+    return empirical_outage_sweep([config], samples, seed, workers)[0]
+
+
+def empirical_statistical_bler_sweep(configs, samples, seed, workers=None) -> list:
+    """empirical_statistical_bler at every config of one channel.
+
+    Each chunk is drawn once, and each distinct bound (users, blocklength
+    and the two variances) sums its clamped values and their squares over
+    the whole chunk, the batch a call with one config uses, so every
+    estimate equals such a call bit for bit.
+    """
     samples = _checked_samples(samples)
-    spec = outage_threshold(config)
-    if spec.saturated:
-        return McEstimate(value=1.0, standard_error=0.0, samples=samples, seed=int(seed))
-    factor_t = _factor_transpose(config.ports, config.antenna_length)
+    configs, (ports, width, sigma2) = _shared_channel(configs)
+    bounds = [(c.users, c.blocklength, c.codeword_variance, c.noise_variance)
+              for c in configs]
+    distinct = list(dict.fromkeys(bounds))
+    factor_t = _factor_transpose(ports, width)
 
     def task(index, size):
-        gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
-        return int(np.count_nonzero(gains <= spec.t_th))
+        gains = _max_gains(index, size, factor_t, sigma2, seed)
+        vals = (conditional_bler(u, m, gains, cv, nv) for u, m, cv, nv in distinct)
+        return [(float(np.sum(v)), float(np.sum(v * v))) for v in vals]
 
-    hits = sum(parallel.run_chunks(task, samples, workers))
-    p = hits / samples
-    return McEstimate(
-        value=p,
-        standard_error=math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-        seed=int(seed),
-        low_hits=hits < _RELIABLE_HITS,
-    )
+    parts = parallel.run_chunks(task, samples, workers)
+    estimates = {}
+    for j, key in enumerate(distinct):
+        mean = math.fsum(p[j][0] for p in parts) / samples
+        total_sq = math.fsum(p[j][1] for p in parts)
+        var = max((total_sq - samples * mean * mean) / (samples - 1), 0.0)
+        estimates[key] = McEstimate(value=mean, standard_error=math.sqrt(var / samples),
+                                    samples=samples, seed=int(seed))
+    return [estimates[key] for key in bounds]
 
 
 def empirical_outage_sweep(configs, samples, seed, workers=None) -> list:
-    """empirical_outage at every config, from one set of draws.
+    """empirical_outage at every config of one channel.
 
-    The configs must share the port count, the aperture and the channel
-    variance: the selected-port gain depends only on those and the seed, so
-    a sweep over users, SNR or gamma_th changes only the threshold t_th.
-    Each point's outage is then the empirical gain CDF at its t_th, read
-    from one empirical_gain_cdf pass over the distinct unsaturated
-    thresholds; saturated points are certain, as in empirical_outage. The
-    estimates equal per-point empirical_outage calls bit for bit.
+    A sweep over users, SNR or gamma_th changes only the threshold t_th, so
+    each point's outage is the empirical gain CDF at its t_th, read from one
+    empirical_gain_cdf pass over the distinct unsaturated thresholds;
+    saturated points are certain and draw nothing.
     """
     samples = _checked_samples(samples)
-    configs = list(configs)
-    if not configs:
-        raise ValueError("configs must not be empty")
-    first = configs[0]
-    channel = (first.ports, first.antenna_length, first.channel_variance)
-    if any((c.ports, c.antenna_length, c.channel_variance) != channel for c in configs):
-        raise ValueError("configs must share ports, antenna_length and channel_variance")
+    configs, channel = _shared_channel(configs)
     specs = [outage_threshold(c) for c in configs]
     grid = sorted({s.t_th for s in specs if not s.saturated})
     at = {}
     if grid:
-        ests = empirical_gain_cdf(first.ports, first.antenna_length, first.channel_variance,
-                                  grid, samples, seed, workers)
-        at = dict(zip(grid, ests))
+        at = dict(zip(grid, empirical_gain_cdf(*channel, grid, samples, seed, workers)))
     certain = McEstimate(value=1.0, standard_error=0.0, samples=samples, seed=int(seed))
     return [certain if s.saturated else at[s.t_th] for s in specs]

@@ -51,6 +51,7 @@ from fblfas.montecarlo import (
     empirical_gain_cdf,
     empirical_outage,
     empirical_statistical_bler,
+    empirical_statistical_bler_sweep,
 )
 from fblfas.quadrature import gauss_laguerre, integrate_adaptive
 from fblfas.specfun import marcum_q1, ncx2_cdf, ncx2_pdf
@@ -256,6 +257,8 @@ def test_criterion_9_determinism(criterion_log):
             10, 0.5, 2.0, [1.0, 5.0, 12.0], samples=70_000, seed=5, workers=w),
         "empirical_statistical_bler": lambda w: empirical_statistical_bler(
             cfg, samples=70_000, seed=5, workers=w),
+        "empirical_statistical_bler over a curve": lambda w: empirical_statistical_bler_sweep(
+            [cfg, replace(cfg, users=9), cfg], samples=70_000, seed=5, workers=w),
         "empirical_outage": lambda w: empirical_outage(
             cfg, samples=70_000, seed=5, workers=w),
         "mrc_conditional_bler": lambda w: mrc_conditional_bler(

@@ -17,7 +17,7 @@ from fblfas.cli import (
 from fblfas import montecarlo, parallel
 from fblfas.fas_stats import GainDistribution
 from fblfas.metrics import _TAIL_MASS, mrc_conditional_bler
-from fblfas.montecarlo import empirical_outage
+from fblfas.montecarlo import empirical_outage, empirical_statistical_bler
 
 
 def run_cli(capsys, argv):
@@ -314,6 +314,41 @@ class TestSweepCommands:
             est = empirical_outage(cfg, samples=70_000, seed=9)
             assert (row[value], row[se]) == (est.value, est.standard_error)
             assert 0.0 < est.value < 1.0
+
+    def test_mc_overlays_draw_each_channel_once(self, capsys, monkeypatch):
+        # every point on one channel reads one set of exact-channel draws:
+        # one _max_gains call per chunk and channel, keyed here by port count
+        calls = Counter()
+        max_gains = montecarlo._max_gains
+
+        def counted(index, size, factor_t, sigma2, seed):
+            calls[factor_t.shape[1], index, size] += 1
+            return max_gains(index, size, factor_t, sigma2, seed)
+
+        monkeypatch.setattr(montecarlo, "_max_gains", counted)
+        code, _, err = run_cli(capsys, [
+            "bler-vs-n", "--ports", "5,10,5", "--mc-samples", "5000", "--mrc", "1",
+            "--mrc-trials", "1000"])
+        assert code == 0 and err == ""
+        assert calls == Counter({(5, 0, 5000): 1, (10, 0, 5000): 1})
+        calls.clear()
+        # 70,000 draws are two chunks, so two port counts take four draws
+        code, out, err = run_cli(capsys, [
+            "bler-vs-snr", "--snr-db", "10,20,10", "--ports", "5,8",
+            "--mc-samples", "70000", "--mrc", "1", "--mrc-trials", "1000", "--seed", "3"])
+        assert code == 0 and err == ""
+        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
+        assert calls == Counter({(ports, index, size): 1 for ports in (5, 8)
+                                 for index, size in enumerate((full, rest))})
+        monkeypatch.undo()
+        _, header, rows = parse_csv(out)
+        for ports in (5, 8):
+            value, se = header.index(f"mc_N{ports}"), header.index(f"mc_N{ports}_se")
+            for snr, row in zip((10.0, 20.0, 10.0), rows):
+                cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=0.5, users=10,
+                                               blocklength=5, snr_db=snr)
+                est = empirical_statistical_bler(cfg, samples=70_000, seed=3)
+                assert (row[value], row[se]) == (est.value, est.standard_error)
 
     def test_mc_overlay_stops_at_the_port_cap(self, capsys, monkeypatch):
         # past the cap an overlay cell is NaN; the dense N x N factor behind

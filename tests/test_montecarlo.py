@@ -21,7 +21,7 @@ from fblfas.channel import (
     sample_channels,
 )
 from fblfas.fas_stats import GainDistribution, cdf_gfas
-from fblfas.metrics import outage_threshold
+from fblfas.metrics import conditional_bler, outage_threshold
 from fblfas.montecarlo import (
     McEstimate,
     _factor_transpose,
@@ -30,6 +30,7 @@ from fblfas.montecarlo import (
     empirical_outage,
     empirical_outage_sweep,
     empirical_statistical_bler,
+    empirical_statistical_bler_sweep,
 )
 from fblfas.quadrature import gauss_laguerre
 
@@ -181,11 +182,9 @@ class TestSamplingPath:
             lambda index, size: _max_gains(index, size, factor_t, 2.0, 13), 70_000))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    def test_factor_is_memoised_read_only(self):
-        a = _factor_transpose(30, 0.7)
-        assert _factor_transpose(30, 0.7) is a
-        assert not a.flags.writeable
-        np.testing.assert_array_equal(a, eigen_factor(build_correlation(30, 0.7)).factor.T)
+    def test_factor_transpose_is_the_eigen_factor(self):
+        np.testing.assert_array_equal(_factor_transpose(30, 0.7),
+                                      eigen_factor(build_correlation(30, 0.7)).factor.T)
 
     def test_outage_memory_stays_bounded(self):
         # 65,536 draws at N = 1000 are 1 GiB as one complex channel array;
@@ -193,7 +192,6 @@ class TestSamplingPath:
         cfg = SystemConfig(ports=1000, antenna_length=0.5, users=2, blocklength=5,
                            channel_variance=2.0, noise_variance=50.0,
                            outage_threshold=0.01)
-        _factor_transpose.cache_clear()
         tracemalloc.start()
         try:
             empirical_outage(cfg, samples=65_536, seed=3)
@@ -233,3 +231,47 @@ class TestEmpiricalOutageSweep:
             ports=7, antenna_length=0.5, users=2, blocklength=5, snr_db=-15.0)]
         with pytest.raises(ValueError):
             empirical_outage_sweep(mixed, samples=5000, seed=1)
+
+
+class TestEmpiricalStatisticalBlerSweep:
+    @staticmethod
+    def configs(points, ports=8):
+        return [SystemConfig.from_snr_db(ports=ports, antenna_length=0.5, users=u,
+                                         blocklength=5, snr_db=snr)
+                for u, snr in points]
+
+    @staticmethod
+    def per_point(config, samples, seed):
+        # one point drawn on its own: the chunk sums of its clamped bound
+        factor_t = _factor_transpose(config.ports, config.antenna_length)
+
+        def task(index, size):
+            gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
+            vals = conditional_bler(config.users, config.blocklength, gains,
+                                    config.codeword_variance, config.noise_variance)
+            return float(np.sum(vals)), float(np.sum(vals * vals))
+
+        parts = parallel.run_chunks(task, samples)
+        mean = math.fsum(p[0] for p in parts) / samples
+        var = max((math.fsum(p[1] for p in parts) - samples * mean * mean)
+                  / (samples - 1), 0.0)
+        return McEstimate(value=mean, standard_error=math.sqrt(var / samples),
+                          samples=samples, seed=seed)
+
+    def test_equals_per_point_calls(self):
+        # users and SNR vary, (4, 10 dB) repeats, and 70,000 draws end in a
+        # ragged chunk
+        configs = self.configs(((4, 10.0), (10, 10.0), (4, 20.0), (4, 10.0), (1, 0.0)))
+        got = empirical_statistical_bler_sweep(configs, samples=70_000, seed=6)
+        assert got == [self.per_point(c, 70_000, 6) for c in configs]
+        assert got == [empirical_statistical_bler(c, samples=70_000, seed=6) for c in configs]
+        assert len({e.value for e in got}) == 4
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            empirical_statistical_bler_sweep([], samples=5000, seed=1)
+        with pytest.raises(ValueError):
+            empirical_statistical_bler_sweep(self.configs(((2, 10.0),)), samples=999, seed=1)
+        mixed = self.configs(((2, 10.0),)) + self.configs(((2, 10.0),), ports=7)
+        with pytest.raises(ValueError):
+            empirical_statistical_bler_sweep(mixed, samples=5000, seed=1)
