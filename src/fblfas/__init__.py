@@ -57,6 +57,7 @@ from .metrics import (
     conditional_bler_raw,
     mrc_conditional_bler,
     mrc_outage,
+    mrc_statistical_bler,
     outage_probability,
     outage_threshold,
     statistical_bler,
@@ -108,6 +109,7 @@ __all__ = [
     "marcum_q1",
     "mrc_conditional_bler",
     "mrc_outage",
+    "mrc_statistical_bler",
     "ncx2_cdf",
     "ncx2_pdf",
     "outage_probability",

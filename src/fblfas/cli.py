@@ -13,8 +13,9 @@ config of every point and evaluates each distinct config once: a repeated
 sweep value, or the single-antenna MRC benchmark that every port count
 shares, costs one evaluation. Monte Carlo overlays stop at MAX_MC_PORTS on
 every subcommand, with NaN cells past it; the exact-channel overlays draw
-once per channel (port count and aperture), and the MRC error-bound
-benchmark once per branch count.
+once per channel (port count and aperture). The MRC benchmark columns draw
+nothing: the outage is in closed form and the error bound is averaged by
+quadrature.
 
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
@@ -45,12 +46,7 @@ from .fas_stats import (
     cdf_gfas,
     pdf_gfas,
 )
-from .metrics import (
-    mrc_conditional_bler,
-    mrc_outage,
-    outage_probability,
-    statistical_bler,
-)
+from .metrics import mrc_outage, mrc_statistical_bler, outage_probability, statistical_bler
 from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler_sweep
 from .quadrature import gauss_laguerre
 
@@ -190,6 +186,16 @@ def _once(fn, items) -> dict:
     return dict(zip(distinct, _map_points(fn, distinct)))
 
 
+def _per_group(fn, groups) -> dict:
+    """{item: value} where fn(items) lists the values of one group's items.
+
+    Each group is one task of _map_points, its items evaluated in order.
+    """
+    groups = list(groups)
+    values = _map_points(fn, groups)
+    return {item: v for items, vs in zip(groups, values) for item, v in zip(items, vs)}
+
+
 def _gain_distribution(ports, width, mu2, sigma2, order) -> GainDistribution:
     if ports == 1:
         model = BlockModel(block_count=1, block_sizes=(1,), mu2=mu2)
@@ -301,10 +307,11 @@ def _sweep(row, args) -> PerformanceCurve:
     _N{n} per port count where row.per_port, then one mrc_L{l} column per
     branch count on a single antenna (ports = 1). Repeated sweep values and
     the MRC config that every port count shares are evaluated once. The
-    overlay of every point on one channel (ports, antenna_length) reads one
-    set of exact-channel draws, and the MRC error bound of every sweep value
-    is averaged over one set of gain draws per branch count. Monte Carlo
-    cells of configs with more than MAX_MC_PORTS ports are NaN.
+    points of one channel (ports, antenna_length) run in one task, in curve
+    order, on one gain distribution, and their overlay reads one set of
+    exact-channel draws. The MRC columns are deterministic (mrc_outage and
+    mrc_statistical_bler), so neither --seed nor --mrc-trials moves them.
+    Monte Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
     """
     values = getattr(args, row.option)
     fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
@@ -315,30 +322,29 @@ def _sweep(row, args) -> PerformanceCurve:
     curves = ({f"_N{n}": configs(ports=n) for n in args.ports} if row.per_port
               else {"": configs()})
     points = [c for cs in curves.values() for c in cs]
-    dists = _once(lambda key: _gain_distribution(*key, args.mu2, args.sigma2, args.quad_order),
-                  [(c.ports, c.antenna_length) for c in points])
+    channels = {}
+    for c in dict.fromkeys(points):
+        channels.setdefault((c.ports, c.antenna_length), []).append(c)
     metric = outage_probability if row.outage else statistical_bler
-    fas = _once(lambda c: metric(c, dists[c.ports, c.antenna_length]), points)
+
+    def analytic(cs):
+        # one task per channel: its points share the distribution's density
+        # memo, which two threads would both fill
+        dist = _gain_distribution(cs[0].ports, cs[0].antenna_length, args.mu2, args.sigma2,
+                                  args.quad_order)
+        return [metric(c, dist) for c in cs]
+
+    fas = _per_group(analytic, channels.values())
     mc = {}
     if args.mc_samples:
         # the points of one channel share one set of exact-channel draws
         overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
-        channels = {}
-        for c in dict.fromkeys(points):
-            if c.ports <= MAX_MC_PORTS:
-                channels.setdefault((c.ports, c.antenna_length), []).append(c)
-        groups = list(channels.values())
-        ests = _map_points(lambda cs: overlay(cs, args.mc_samples, args.seed), groups)
-        mc = {c: e for cs, es in zip(groups, ests) for c, e in zip(cs, es)}
+        mc = _per_group(lambda cs: overlay(cs, args.mc_samples, args.seed),
+                        [cs for cs in channels.values() if cs[0].ports <= MAX_MC_PORTS])
     mrc_configs = configs(ports=1)
-    if row.outage:
-        pairs = _once(lambda p: mrc_outage(*p),
-                      [(branches, c) for branches in args.mrc for c in mrc_configs])
-        bench = {branches: [pairs[branches, c] for c in mrc_configs] for branches in args.mrc}
-    else:
-        # one set of gain draws per branch count serves the whole curve
-        bench = _once(lambda b: mrc_conditional_bler(b, mrc_configs, args.mrc_trials, args.seed),
-                      args.mrc)
+    bench_metric = mrc_outage if row.outage else mrc_statistical_bler
+    bench = _once(lambda p: bench_metric(*p),
+                  [(branches, c) for branches in args.mrc for c in mrc_configs])
     series = {}
     for suffix, cs in curves.items():
         series["fas" + suffix] = tuple(fas[c] for c in cs)
@@ -348,7 +354,7 @@ def _sweep(row, args) -> PerformanceCurve:
             series[f"mc{suffix}_se"] = tuple(
                 math.nan if e is None else e.standard_error for e in ests)
     for branches in args.mrc:
-        series[f"mrc_L{branches}"] = tuple(bench[branches])
+        series[f"mrc_L{branches}"] = tuple(bench[branches, c] for c in mrc_configs)
     return PerformanceCurve(row.column, tuple(float(v) for v in values), series,
                             _metadata(args))
 
@@ -427,7 +433,8 @@ def _add_sweep_flags(sub, row):
     sub.add_argument("--mrc", type=parse_int_list, default=parse_int_list(mrc),
                      help=f"benchmark MRC branch counts (default {mrc})")
     sub.add_argument("--mrc-trials", type=int, default=100000,
-                     help="gain draws per MRC benchmark point (default 100000)")
+                     help="accepted for compatibility; the MRC benchmark draws nothing "
+                          "(default 100000)")
 
 
 def build_parser():

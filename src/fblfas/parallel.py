@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# The chunk size fixes the last bits of every MC and MRC cell: the error
+# The chunk size fixes the last bits of every MC estimate: the error
 # bound of a gain depends in its last bits on the batch it is evaluated in
 # (metrics.conditional_bler_raw), so each bound runs on whole chunks.
 CHUNK_DRAWS = 1 << 16

@@ -14,9 +14,9 @@ from fblfas.cli import (
     parse_int_list,
     render_csv,
 )
-from fblfas import montecarlo, parallel
+from fblfas import cli, metrics, montecarlo, parallel
 from fblfas.fas_stats import GainDistribution
-from fblfas.metrics import _TAIL_MASS, mrc_conditional_bler
+from fblfas.metrics import _TAIL_MASS
 from fblfas.montecarlo import empirical_outage, empirical_statistical_bler
 
 
@@ -180,11 +180,15 @@ class TestSweepCommands:
             assert abs(row[1] - row[2]) < 5.0 * row[3] + 0.2
             assert row[3] > 0.0
 
-    def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch, threads):
         # every error-bound point of a curve averages over one distribution
         # on the same adaptive panels of [0, upper]: the block factors run
         # at most once per distinct abscissa (without the memo, 16,800
-        # evaluations for 1,350 abscissas) and the limit is bisected once
+        # evaluations for 1,350 abscissas) and the limit is bisected once,
+        # also with two threads, which take the points of one distribution
+        # in one task
+        monkeypatch.setenv(parallel.THREADS_ENV, threads)
         evaluations, bisection_calls, dists = Counter(), Counter(), {}
         block_factors, cdf = fas_stats._block_factors, fas_stats.cdf_gfas
 
@@ -244,38 +248,46 @@ class TestSweepCommands:
         assert header == ["snr_db", "fas_N5", "mrc_L1"]
         assert rows[1][1] < rows[0][1]  # outage falls with SNR
 
-    def test_bler_vs_snr_draws_each_mrc_chunk_once(self, capsys, monkeypatch):
-        # the MRC gains depend on (L, sigma^2, trials, seed) only, so every
-        # SNR of the curve reads one set of draws per branch count; 70,000
-        # trials end in a ragged chunk
-        draws = Counter()
-        chunk_rng = parallel.chunk_rng
+    MRC_SWEEP = ["bler-vs-snr", "--snr-db", "10,20,10", "--ports", "5", "--mrc", "1,2"]
 
-        class CountedGenerator:
-            def __init__(self, seed, index):
-                self._rng, self._key = chunk_rng(seed, index), (seed, index)
+    def test_bler_vs_snr_mrc_columns_are_the_deterministic_average(self, capsys, monkeypatch):
+        # each distinct (branches, config) is evaluated once and read into
+        # its cells; nothing is drawn, so --seed, --mrc-trials and the
+        # thread count leave the columns as they are
+        calls = Counter()
+        average = metrics.mrc_statistical_bler
 
-            def gamma(self, shape, scale, size):
-                draws[shape, scale, size, self._key] += 1
-                return self._rng.gamma(shape=shape, scale=scale, size=size)
+        def counted(branches, config):
+            calls[branches, config] += 1
+            return average(branches, config)
 
-        monkeypatch.setattr(parallel, "chunk_rng", CountedGenerator)
-        code, out, err = run_cli(capsys, [
-            "bler-vs-snr", "--snr-db", "10,20", "--ports", "5", "--mrc", "1,2",
-            "--mrc-trials", "70000", "--seed", "4"])
-        assert code == 0 and err == ""
-        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
-        assert draws == Counter({(branches, 2.0, size, (4, index)): 1
-                                 for branches in (1, 2)
-                                 for index, size in enumerate((full, rest))})
-        monkeypatch.undo()
-        _, header, rows = parse_csv(out)
-        for branches in (1, 2):
-            column = header.index(f"mrc_L{branches}")
-            for snr, row in zip((10.0, 20.0), rows):
+        monkeypatch.setattr(cli, "mrc_statistical_bler", counted)
+        columns = []
+        for extra, threads in (([], "1"), (["--seed", "4", "--mrc-trials", "70000"], "2")):
+            monkeypatch.setenv(parallel.THREADS_ENV, threads)
+            calls.clear()
+            code, out, err = run_cli(capsys, self.MRC_SWEEP + extra)
+            assert code == 0 and err == ""
+            assert len(calls) == 4 and set(calls.values()) == {1}
+            _, header, rows = parse_csv(out)
+            columns.append([[row[header.index(f"mrc_L{b}")] for row in rows] for b in (1, 2)])
+        assert columns[0] == columns[1]
+        for branches, column in zip((1, 2), columns[0]):
+            for snr, value in zip((10.0, 20.0, 10.0), column):
                 cfg = SystemConfig.from_snr_db(ports=1, antenna_length=0.5, users=10,
                                                blocklength=5, snr_db=snr)
-                assert row[column] == mrc_conditional_bler(branches, cfg, 70_000, seed=4)
+                assert value == average(branches, cfg)
+
+    def test_mrc_trials_is_accepted_and_moves_no_cell(self, capsys):
+        # the flag draws nothing but stays accepted, and echoed, for
+        # callers that still pass it
+        _, plain, _ = run_cli(capsys, self.MRC_SWEEP)
+        code, given, err = run_cli(capsys, self.MRC_SWEEP + ["--mrc-trials", "1000"])
+        assert code == 0 and err == ""
+        plain, given = plain.splitlines(), given.splitlines()
+        assert len(plain) == len(given)
+        assert [(a, b) for a, b in zip(plain, given) if a != b] == [
+            ("# mrc_trials = 100000", "# mrc_trials = 1000")]
 
     def test_op_vs_u_mc_equals_per_point_outage(self, capsys):
         # one draw per port count serves the whole sweep; U = 20 is

@@ -25,6 +25,7 @@ from fblfas.metrics import (
     conditional_bler_raw,
     mrc_conditional_bler,
     mrc_outage,
+    mrc_statistical_bler,
     outage_probability,
     outage_threshold,
     statistical_bler,
@@ -251,6 +252,161 @@ class TestOutage:
         cfg = single_port_config()
         with pytest.raises(ValueError):
             mrc_outage(0, cfg)
+
+
+class TestMrcStatisticalBler:
+    # E[min(h(G), 1)] for G ~ Gamma(L, 2) at blocklength M, keyed by
+    # (L, U, M, SNR dB): the incomplete gamma below the gain where h = 1
+    # plus mpmath.quad of h times the density above it, at 50 digits, with
+    # breakpoints a factor 2 apart and again 1.3 apart (the two agree to
+    # 7e-22 or better); U = 1 has h(0) = 1 and no head
+    REFERENCES = {
+        (1, 1, 5, 0): 0.6805580824503411,
+        (1, 1, 5, 10): 0.1915144734301331,
+        (1, 1, 5, 20): 0.024205006101060297,
+        (1, 1, 5, 28): 0.003941463994908439,
+        (1, 1, 5, 40): 0.00024991670829193073,
+        (1, 1, 5, 50): 2.499916670832917e-05,
+        (1, 10, 5, 0): 0.999999999658769,
+        (1, 10, 5, 10): 0.9118842950005192,
+        (1, 10, 5, 20): 0.22578156605114297,
+        (1, 10, 5, 28): 0.04006836988284978,
+        (1, 10, 5, 40): 0.0025809740806151003,
+        (1, 10, 5, 50): 0.0002584230988373309,
+        (1, 4, 20, 0): 0.99429703019263,
+        (1, 4, 20, 10): 0.4419110843409752,
+        (1, 4, 20, 20): 0.05819164736472533,
+        (1, 4, 20, 28): 0.009485145478074776,
+        (1, 4, 20, 40): 0.0006014700760245494,
+        (1, 4, 20, 50): 6.0165253296508494e-05,
+        (1, 30, 50, 0): 0.9999976491024347,
+        (1, 30, 50, 10): 0.7342748351172915,
+        (1, 30, 50, 20): 0.12464124649818044,
+        (1, 30, 50, 28): 0.020887029069973077,
+        (1, 30, 50, 40): 0.0013310657418137098,
+        (1, 30, 50, 50): 0.00013318704938378978,
+        (2, 1, 5, 0): 0.4721868456952239,
+        (2, 1, 5, 10): 0.04242763284933457,
+        (2, 1, 5, 20): 0.0007594749856527897,
+        (2, 1, 5, 28): 2.0607950438770436e-05,
+        (2, 1, 5, 40): 8.325012398509024e-08,
+        (2, 1, 5, 50): 8.332500124860261e-10,
+        (2, 10, 5, 0): 0.999999992545066,
+        (2, 10, 5, 10): 0.7062690551021601,
+        (2, 10, 5, 20): 0.02946150212692439,
+        (2, 10, 5, 28): 0.000879531288156542,
+        (2, 10, 5, 40): 3.6152469464172196e-06,
+        (2, 10, 5, 50): 3.622329601552084e-08,
+        (2, 4, 20, 0): 0.9669827239426273,
+        (2, 4, 20, 10): 0.12517611321776984,
+        (2, 4, 20, 20): 0.001924627154950304,
+        (2, 4, 20, 28): 5.0514474204096215e-05,
+        (2, 4, 20, 40): 2.0268177877887734e-07,
+        (2, 4, 20, 50): 2.027780996916753e-09,
+        (2, 30, 50, 0): 0.9999676325421936,
+        (2, 30, 50, 10): 0.3836827751278244,
+        (2, 30, 50, 20): 0.008176546455154666,
+        (2, 30, 50, 28): 0.00022151883775202357,
+        (2, 30, 50, 40): 8.938047165028937e-07,
+        (2, 30, 50, 50): 8.945332279338438e-09,
+        (4, 1, 5, 0): 0.2396524913864113,
+        (4, 1, 5, 10): 0.0032405732667141153,
+        (4, 1, 5, 20): 2.1709787512595145e-06,
+        (4, 1, 5, 28): 2.1895118119156215e-09,
+        (4, 1, 5, 40): 4.078940127628354e-14,
+        (4, 1, 5, 50): 4.154079993234149e-18,
+        (4, 10, 5, 0): 0.9999994006187978,
+        (4, 10, 5, 10): 0.2594283713388573,
+        (4, 10, 5, 20): 0.0002650311007959102,
+        (4, 10, 5, 28): 2.554065648960339e-07,
+        (4, 10, 5, 40): 4.6031617160826345e-12,
+        (4, 10, 5, 50): 4.665073266599048e-16,
+        (4, 4, 20, 0): 0.7904004388471761,
+        (4, 4, 20, 10): 0.005486477299515796,
+        (4, 4, 20, 20): 1.1875849148757817e-06,
+        (4, 4, 20, 28): 8.14172571643749e-10,
+        (4, 4, 20, 40): 1.3097458070730022e-14,
+        (4, 4, 20, 50): 1.3109323637323065e-18,
+        (4, 30, 50, 0): 0.9989566274831269,
+        (4, 30, 50, 10): 0.047289245510034425,
+        (4, 30, 50, 20): 1.2470297418361899e-05,
+        (4, 30, 50, 28): 8.645189800347616e-09,
+        (4, 30, 50, 40): 1.393220325812276e-13,
+        (4, 30, 50, 50): 1.3946306934250298e-17,
+        (8, 1, 5, 0): 0.07391017803314939,
+        (8, 1, 5, 10): 8.732492133115427e-05,
+        (8, 1, 5, 20): 3.1741243202729183e-09,
+        (8, 1, 5, 28): 3.8176870321338434e-13,
+        (8, 1, 5, 40): 3.9583627074310845e-19,
+        (8, 1, 5, 50): 3.9672622018340495e-24,
+        (8, 10, 5, 0): 0.9998253123484088,
+        (8, 10, 5, 10): 0.012787739680612767,
+        (8, 10, 5, 20): 2.597326249791745e-07,
+        (8, 10, 5, 28): 2.8073181253715704e-11,
+        (8, 10, 5, 40): 2.84927480291163e-17,
+        (8, 10, 5, 50): 2.8518817084371493e-22,
+        (8, 4, 20, 0): 0.26204931719524815,
+        (8, 4, 20, 10): 9.222812697227634e-06,
+        (8, 4, 20, 20): 6.625068373658127e-13,
+        (8, 4, 20, 28): 3.3310180905032346e-19,
+        (8, 4, 20, 40): 8.730979209026603e-29,
+        (8, 4, 20, 50): 8.75365726914378e-37,
+        (8, 30, 50, 0): 0.9484026670106931,
+        (8, 30, 50, 10): 9.745324803582898e-05,
+        (8, 30, 50, 20): 3.498359162710694e-12,
+        (8, 30, 50, 28): 1.586152686556758e-18,
+        (8, 30, 50, 40): 4.077785545730893e-28,
+        (8, 30, 50, 50): 4.083536403989864e-36,
+    }
+
+    @staticmethod
+    def config(users, blocklength, snr_db):
+        return SystemConfig.from_snr_db(ports=1, antenna_length=0.5, users=users,
+                                        blocklength=blocklength, snr_db=snr_db)
+
+    def test_matches_mpmath_references(self):
+        for (branches, users, blocklength, snr), want in self.REFERENCES.items():
+            got = mrc_statistical_bler(branches, self.config(users, blocklength, snr))
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (branches, users, snr)
+        # the L = 1 gain is Exp(2), so the average is the single-port bound
+        assert mrc_statistical_bler(1, single_port_config()) == pytest.approx(
+            SINGLE_PORT_BLER, rel=1e-13)
+
+    def test_agrees_with_monte_carlo(self):
+        # min(h, 1) lies in [0, 1], so sqrt(p (1 - p) / n) bounds the
+        # standard error of the seeded mean
+        trials = 200_000
+        for users, blocklength in ((10, 5), (4, 20)):
+            for snr in (10.0, 20.0):
+                cfg = self.config(users, blocklength, snr)
+                for branches in (1, 2):
+                    want = mrc_statistical_bler(branches, cfg)
+                    got = mrc_conditional_bler(branches, cfg, trials, seed=21)
+                    se = math.sqrt(want * (1.0 - want) / trials)
+                    assert abs(got - want) <= 4.0 * se, (users, snr, branches)
+
+    def test_monotone_and_bounded(self):
+        for users, blocklength in ((1, 5), (10, 5), (30, 50)):
+            grid = [[mrc_statistical_bler(branches, self.config(users, blocklength, snr))
+                     for snr in range(0, 55, 5)] for branches in (1, 2, 3, 4, 8)]
+            for row in grid:
+                assert all(0.0 < v <= 1.0 for v in row)
+                assert all(b <= a for a, b in zip(row, row[1:]))
+            for fewer, more in zip(grid, grid[1:]):
+                assert all(b <= a for a, b in zip(fewer, more))
+
+    def test_single_user_and_high_snr_are_finite_and_positive(self):
+        # with U = 1 the bound starts at exactly 1, so no gain has h = 1
+        # above 0; the head is still cut above 0 and the panels start there
+        for users, blocklength in ((1, 5), (1, 50), (10, 5)):
+            for snr in (40.0, 50.0, 60.0):
+                for branches in (1, 8):
+                    value = mrc_statistical_bler(branches, self.config(users, blocklength, snr))
+                    assert math.isfinite(value) and value > 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mrc_statistical_bler(0, single_port_config())
 
 
 class TestMrcConditionalBler:
