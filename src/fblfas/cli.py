@@ -10,12 +10,12 @@ user count (``op-vs-*``), and the quadrature-versus-oracle diagnostic
 The six ``bler-vs-*`` and ``op-vs-*`` subcommands are rows of one table
 (``_SWEEPS``) run by one sweep engine (``_sweep``). It builds the system
 config of every point and evaluates each distinct config once: a repeated
-sweep value, or the single-antenna MRC benchmark that every port count
-shares, costs one evaluation. Monte Carlo overlays stop at MAX_MC_PORTS on
-every subcommand, with NaN cells past it; the exact-channel overlays draw
-once per channel (port count and aperture). The MRC benchmark columns draw
-nothing: the outage is in closed form and the error bound is averaged by
-quadrature.
+sweep value, or the single-antenna MRC benchmark that every port count and
+width shares, costs one evaluation. Monte Carlo overlays stop at
+MAX_MC_PORTS on every subcommand, with NaN cells past it; the exact-channel
+overlays draw once per channel (port count and aperture). The MRC columns
+draw nothing: the outage is in closed form and the error bound is averaged
+by quadrature.
 
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
@@ -306,11 +306,11 @@ def _sweep(row, args) -> PerformanceCurve:
     Columns are fas, then mc and mc_se when --mc-samples is set, suffixed
     _N{n} per port count where row.per_port, then one mrc_L{l} column per
     branch count on a single antenna (ports = 1). Repeated sweep values and
-    the MRC config that every port count shares are evaluated once. The
-    points of one channel (ports, antenna_length) run in one task, in curve
-    order, on one gain distribution, and their overlay reads one set of
-    exact-channel draws. The MRC columns are deterministic (mrc_outage and
-    mrc_statistical_bler), so neither --seed nor --mrc-trials moves them.
+    the MRC config that every port count and width shares are evaluated
+    once. The points of one channel (ports, antenna_length) run in one task,
+    in curve order, on one gain distribution, and their overlay reads one
+    set of exact-channel draws. The MRC columns are deterministic
+    (mrc_outage and mrc_statistical_bler): --seed and --mrc-trials move none.
     Monte Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
     """
     values = getattr(args, row.option)
@@ -341,7 +341,8 @@ def _sweep(row, args) -> PerformanceCurve:
         overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
         mc = _per_group(lambda cs: overlay(cs, args.mc_samples, args.seed),
                         [cs for cs in channels.values() if cs[0].ports <= MAX_MC_PORTS])
-    mrc_configs = configs(ports=1)
+    # a single antenna's metrics read no aperture, so one width serves all
+    mrc_configs = configs(ports=1, width=1.0)
     bench_metric = mrc_outage if row.outage else mrc_statistical_bler
     bench = _once(lambda p: bench_metric(*p),
                   [(branches, c) for branches in args.mrc for c in mrc_configs])

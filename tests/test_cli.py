@@ -16,7 +16,6 @@ from fblfas.cli import (
 )
 from fblfas import cli, metrics, montecarlo, parallel
 from fblfas.fas_stats import GainDistribution
-from fblfas.metrics import _TAIL_MASS
 from fblfas.montecarlo import empirical_outage, empirical_statistical_bler
 
 
@@ -182,40 +181,43 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch, threads):
-        # every error-bound point of a curve averages over one distribution
-        # on the same adaptive panels of [0, upper]: the block factors run
-        # at most once per distinct abscissa (without the memo, 16,800
-        # evaluations for 1,350 abscissas) and the limit is bisected once,
-        # also with two threads, which take the points of one distribution
-        # in one task
+        # every error-bound point of a curve sums panels of one grid per
+        # distribution, from the same top edge down: the block factors run
+        # at most once per distinct abscissa, also with two threads, which
+        # take the points of one distribution in one task, and the curve
+        # evaluates no abscissa that its deepest point alone would not
         monkeypatch.setenv(parallel.THREADS_ENV, threads)
-        evaluations, bisection_calls, dists = Counter(), Counter(), {}
-        block_factors, cdf = fas_stats._block_factors, fas_stats.cdf_gfas
+        evaluations, dists = Counter(), {}
+        block_factors, distribution = fas_stats._block_factors, cli._gain_distribution
 
         def counted_factors(x, lam_rate, sizes, *rest, **kwargs):
             evaluations[lam_rate, tuple(sizes), x] += 1
             return block_factors(x, lam_rate, sizes, *rest, **kwargs)
 
-        def counted_cdf(dist, t):
-            # only quantile reads this binding; metrics holds its own
-            dists[id(dist)] = dist
-            bisection_calls[id(dist)] += 1
-            return cdf(dist, t)
+        def remembered(ports, *rest):
+            dists[ports] = distribution(ports, *rest)
+            return dists[ports]
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted_factors)
-        monkeypatch.setattr(fas_stats, "cdf_gfas", counted_cdf)
-        code, _, _ = run_cli(capsys, ["bler-vs-u", "--users", "1:20", "--ports", "5,50",
+        monkeypatch.setattr(cli, "_gain_distribution", remembered)
+        code, _, _ = run_cli(capsys, ["bler-vs-u", "--users", "1:20:3", "--ports", "5,50",
                                       "--mrc", "1", "--mrc-trials", "1000"])
         assert code == 0
-        assert len(evaluations) > 1000 and max(evaluations.values()) == 1
-        assert len(dists) == 2
-        for key, dist in list(dists.items()):
-            calls = bisection_calls[key]
-            bisection_calls[key] = 0
-            fresh = GainDistribution(model=dist.model, channel_variance=dist.channel_variance,
-                                     rule=dist.rule)
-            fas_stats.quantile(fresh, 1.0 - _TAIL_MASS)
-            assert calls == bisection_calls[id(fresh)]
+        assert evaluations and max(evaluations.values()) == 1
+        assert sorted(dists) == [5, 50]
+        curve = Counter((lam_rate, sizes) for lam_rate, sizes, _ in evaluations)
+        for ports, dist in dists.items():
+            deepest = 0
+            for users in range(1, 21, 3):
+                evaluations.clear()
+                fresh = GainDistribution(model=dist.model, channel_variance=dist.channel_variance,
+                                         rule=dist.rule)
+                metrics.statistical_bler(SystemConfig.from_snr_db(
+                    ports=ports, antenna_length=1.0, users=users, blocklength=5,
+                    snr_db=20.0), fresh)
+                deepest = max(deepest, len(evaluations))
+            sizes = tuple(size for size, _ in dist._size_counts)
+            assert curve[dist._lam_rate, sizes] == deepest
 
     def test_bler_vs_w_large_port_count(self, capsys):
         # the block fit is matrix-free, so analytic sweeps take N far past

@@ -6,10 +6,11 @@ that the table-driven sweep engine replaced. They cover all eight
 subcommands, Monte Carlo and MRC columns, repeated sweep values, a
 `bler-vs-n` port count past the Monte Carlo cap, `quad-check` with its
 default correlation sweep and a configuration file. The two *_default files
-are the default `bler-vs-snr` and `bler-vs-u`, captured before the
-distribution memo and the proved clamp, when they took 130 s and 8 s; the
-`bler-vs-snr` run then also warned four times, for the low-SNR points whose
-integral did not converge. Every sweep must now run without a warning.
+are the default `bler-vs-snr` and `bler-vs-u`, first captured when they
+took 130 s and 8 s and `bler-vs-snr` warned four times, for the low-SNR
+points whose adaptive integral did not converge; their fas columns were
+re-captured for the fixed-order error-bound rule, within 1e-12 relative.
+Every sweep must run without a warning.
 Rewrite a file only for an output change that is intended and stated.
 """
 from collections import Counter
@@ -81,3 +82,29 @@ def test_bler_vs_n_evaluates_the_mrc_benchmark_once_per_branch_count(monkeypatch
                                        blocklength=5, snr_db=12.0)
         want = average(branches, cfg)
         assert [row[header.index(f"mrc_L{branches}")] for row in rows] == [want] * 3
+
+
+def test_bler_vs_w_evaluates_the_mrc_benchmark_once_per_branch_count(monkeypatch, capsys):
+    # a single antenna's bound reads no aperture, so the widths of the
+    # sweep share one evaluation per branch count (20 for the ten widths
+    # before), and each cell keeps the bits of an evaluation at its width
+    calls = Counter()
+    average = metrics.mrc_statistical_bler
+
+    def counted(branches, config):
+        calls[branches] += 1
+        return average(branches, config)
+
+    monkeypatch.setattr(cli, "mrc_statistical_bler", counted)
+    assert main(["bler-vs-w", "--widths", "0.1:1:0.1", "--ports", "50"]) == 0
+    assert calls == Counter({1: 1, 2: 1})
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    header, rows = lines[0].split(","), [[float(v) for v in line.split(",")]
+                                         for line in lines[1:]]
+    assert len(rows) == 10
+    for branches in (1, 2):
+        for row in rows:
+            cfg = SystemConfig.from_snr_db(ports=1, antenna_length=row[0], users=10,
+                                           blocklength=5, snr_db=12.0)
+            assert row[header.index(f"mrc_L{branches}")] == average(branches, cfg)

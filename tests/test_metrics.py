@@ -17,7 +17,14 @@ import pytest
 
 from fblfas import metrics, parallel
 from fblfas.channel import BlockModel, SystemConfig, build_correlation, fit_block_model
-from fblfas.fas_stats import GainDistribution, block_cdf_factor, block_cdf_factor_adaptive
+from fblfas.fas_stats import (
+    GainDistribution,
+    block_cdf_factor,
+    block_cdf_factor_adaptive,
+    cdf_gfas,
+    pdf_gfas,
+    quantile,
+)
 from fblfas.metrics import (
     codeword_correlation,
     combinatorial_exponent,
@@ -30,7 +37,7 @@ from fblfas.metrics import (
     outage_threshold,
     statistical_bler,
 )
-from fblfas.quadrature import gauss_laguerre
+from fblfas.quadrature import gauss_laguerre, integrate_adaptive
 
 SINGLE_PORT_BLER = 0.523720870407838778  # scipy.quad + mpmath, M=5, U=1
 
@@ -173,20 +180,98 @@ class TestStatisticalBler:
         }
         assert statistical_bler(cfg50, dists[cfg50]) < statistical_bler(cfg5, dists[cfg5])
 
-    def test_proved_clamp_skips_the_integral(self, monkeypatch):
-        # at 0 dB the raw bound averages far above 1; the integral of a
-        # bound near 1e5 at low gain cannot meet its absolute tolerance and
-        # used to warn after 131,056 density calls
-        calls = []
-        monkeypatch.setattr(metrics, "pdf_gfas", lambda *a: calls.append(a))
-        cfg = SystemConfig.from_snr_db(ports=1000, antenna_length=0.5, users=10,
-                                       blocklength=5, snr_db=0.0)
-        dist = GainDistribution(model=fit_block_model(build_correlation(1000, 0.5), 0.97),
+    @staticmethod
+    def fitted(ports, width, mu2):
+        return GainDistribution(model=fit_block_model(build_correlation(ports, width), mu2),
                                 channel_variance=2.0, rule=gauss_laguerre(32))
+
+    @pytest.mark.parametrize("ports, width, mu2, users", [
+        (1000, 0.5, 0.97, 10), (50, 1.0, 0.1, 15), (1000, 1.0, 0.5, 15)])
+    def test_low_snr_points_stop_once_the_sum_reaches_one(self, monkeypatch, ports, width,
+                                                          mu2, users):
+        # at 0 dB the raw bound averages far above 1; every panel adds to
+        # the sum, so the rule returns 1 once the sum gets there. The former
+        # adaptive integral of a bound near 1e5 at low gain warned at the
+        # first point after 131,056 density calls; the former one-probe
+        # clamp proof missed the other two (of five at U = 15, M = 5, W = 1),
+        # which then ran 8.5-18 s, warned that they did not converge and
+        # returned 1
+        calls = []
+        density = metrics.pdf_gfas
+
+        def counted(dist, t):
+            calls.append(t)
+            return density(dist, t)
+
+        monkeypatch.setattr(metrics, "pdf_gfas", counted)
+        cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=width, users=users,
+                                       blocklength=5, snr_db=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert statistical_bler(cfg, dist) == 1.0
-        assert calls == []
+            assert statistical_bler(cfg, self.fitted(ports, width, mu2)) == 1.0
+        assert 0 < len(calls) <= 5 * metrics._PANEL_ORDER
+
+    @staticmethod
+    def adaptive_average(cfg, dist, scale):
+        """E[h(G)] by the adaptive oracle in u = ln t, to 1e-10 of scale.
+
+        The limits are the gain quantile 1 - 1e-13 and the first whole
+        e-fold below sigma^2 where h(0) F is at most 1e-13 of scale; the
+        range is cut into e-fold pieces, so that no peak narrower than the
+        range can slip between the first panel's nodes.
+        """
+        active, bound = metrics._union_bound(cfg.users, cfg.blocklength)
+        coef = 0.5 * cfg.codeword_variance / cfg.noise_variance * active
+
+        def integrand(u):
+            t = np.exp(np.atleast_1d(u))
+            return np.array([pdf_gfas(dist, x) for x in t]) * bound(t[:, None] * coef) * t
+
+        hi = math.log(quantile(dist, 1.0 - 1e-13))
+        lo = math.log(dist.channel_variance)
+        while float(bound(0.0 * coef)) * cdf_gfas(dist, math.exp(lo)) > 1e-13 * scale:
+            lo -= 1.0
+        edges = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
+        pieces = [integrate_adaptive(integrand, a, b, tol=1e-10 * scale / (len(edges) - 1))
+                  for a, b in zip(edges[:-1], edges[1:])]
+        assert all(piece.converged for piece in pieces)
+        return math.fsum(piece.value for piece in pieces)
+
+    # (ports, mu2, SNR in dB, blocklength, users), all at W = 1 and all
+    # averaging below 1; at most 3.1e-12 apart when written
+    ORACLE_GRID = [
+        (5, 0.1, 0.0, 5, 1), (5, 0.5, 20.0, 100, 20), (5, 0.99, 40.0, 5, 20),
+        (5, 0.99, 10.0, 100, 1), (50, 0.1, 40.0, 100, 1), (50, 0.5, 20.0, 5, 20),
+        (50, 0.99, 0.0, 100, 1), (1000, 0.1, 20.0, 5, 20), (1000, 0.5, 40.0, 100, 20),
+        (1000, 0.5, 0.0, 5, 1), (5000, 0.1, 10.0, 100, 1), (5000, 0.99, 30.0, 5, 20),
+    ]
+
+    @pytest.mark.parametrize("ports, mu2, snr_db, blocklength, users", ORACLE_GRID)
+    def test_matches_the_adaptive_oracle(self, ports, mu2, snr_db, blocklength, users):
+        cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=1.0, users=users,
+                                       blocklength=blocklength, snr_db=snr_db)
+        dist = self.fitted(ports, 1.0, mu2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = statistical_bler(cfg, dist)
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(self.adaptive_average(cfg, dist, got), rel=1e-8, abs=0.0)
+
+    def test_points_of_one_distribution_share_densities(self):
+        # the panel edges depend only on sigma^2 and M, so a second SNR
+        # reads the first one's densities and computes only the panels it
+        # adds below them (here none; without the shared grid, all of its
+        # own)
+        dist = self.fitted(50, 1.0, 0.5)
+
+        def at(snr_db):
+            return statistical_bler(SystemConfig.from_snr_db(
+                ports=50, antenna_length=1.0, users=10, blocklength=5, snr_db=snr_db), dist)
+
+        first = at(20.0)
+        one = len(dist._memo[1])
+        assert at(36.0) < first
+        assert len(dist._memo[1]) < 2 * one
 
     def test_rejects_mismatched_config(self):
         cfg = single_port_config(ports=3)
