@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import parallel
 from .errors import NumericError
@@ -145,6 +144,16 @@ class SystemConfig:
         )
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix T[i, j] = row[|i - j|].
+
+    Row i is read from the windows of [row reversed, row[1:]], so no index
+    matrix as large as T is built on the way.
+    """
+    mirrored = np.concatenate([row[::-1], row[1:]])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, row.size)[::-1].copy()
+
+
 @dataclass(frozen=True)
 class ToeplitzCorrelation:
     """Port correlation, the symmetric Toeplitz matrix of its first row.
@@ -162,7 +171,7 @@ class ToeplitzCorrelation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return toeplitz(self.first_row)
+        return _toeplitz(self.first_row)
 
 
 @dataclass(frozen=True)
@@ -347,7 +356,7 @@ def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
             break
         x = np.hstack([tv, rng.standard_normal((n, p))])
         p *= 2
-    return np.linalg.eigvalsh(toeplitz(row))[::-1]
+    return np.linalg.eigvalsh(_toeplitz(row))[::-1]
 
 
 def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:

@@ -35,9 +35,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericError
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, integrate_adaptive
@@ -158,13 +158,21 @@ def _panel_rule(order: int) -> QuadratureRule:
     return gauss_legendre(order)
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile Phi^(-1)(p) for 0 <= p < 1; -inf at p = 0."""
+    return _STANDARD_NORMAL.inv_cdf(p) if p > 0.0 else -math.inf
+
+
 def _latent_split(x: float, lam_rate: float, size: int, order: int):
     """Split rule for G_size(x), or None where plain Gauss-Laguerre suffices.
 
     Returns (base, lams, weights) with G = base + sum_i w_i F2(x; lams_i)^L:
     base is the closed-form mass below the transition, and the nodes are
-    those of up to four Gauss-Legendre panels of order // 2 nodes each. x
-    must be positive.
+    those of up to four Gauss-Legendre panels of order // 2 nodes each. x / 2
+    must be positive (not underflow to 0), so that F2(x; 0) is.
     """
     r = math.sqrt(x)
     y = 0.5 * x
@@ -172,7 +180,7 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
     # Transition centre and width from F2(x; s^2) ~ Phi(r - s): the bracket
     # is 1/2 where 1 - F2 = 1 - 2^(-1/L).
     half = -math.expm1(-math.log(2.0) / size)
-    z = -float(ndtri(half))
+    z = -_normal_quantile(half)
     width = (1.0 - half) / (size * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
     # ln F2 is concave in the noncentrality (a Poisson transform of a
     # log-concave sequence), so its slope at 0, -y e^(-y) / (2 f0), bounds
@@ -189,7 +197,7 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
     # Beyond s_hi the bracket is below tol * f0^L by F2 <= Phi(r - s), by the
     # concavity bound, or the e^(-u) weight is below tol.
     s_hi = min(
-        r - float(ndtri(math.exp(log_tol / size) * f0)),
+        r - _normal_quantile(math.exp(log_tol / size) * f0),
         sigma0 * math.sqrt(-2.0 * log_tol),
         math.sqrt(-lam_rate * log_tol),
     )
@@ -234,7 +242,7 @@ def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
             values.append(-math.expm1(-x / (lam_rate + 2.0)))
             slopes.append(math.exp(-x / (lam_rate + 2.0)) / (lam_rate + 2.0))
             continue
-        if x == 0.0:
+        if 0.5 * x == 0.0:  # F2(x; lam) = 0 to round-off, and so is its slope
             values.append(0.0)
             slopes.append(0.0)
             continue

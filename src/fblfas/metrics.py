@@ -8,7 +8,10 @@ combining counterparts used as benchmarks: under Rayleigh fading the MRC
 combined gain is Gamma(L, sigma^2) (Simon and Alouini, Digital
 Communication over Fading Channels, 2005), which gives the outage in closed
 form and the average bounded BLER as an incomplete gamma head plus a
-Gauss-Legendre tail. Its seeded Monte Carlo estimate stays as a test oracle.
+Gauss-Legendre tail. L is an integer, so P(G <= t) = P(N >= L) for a
+Poisson count N of mean t / sigma^2, and specfun._poisson_tails gives both
+tails; no inverse of them is needed. Its seeded Monte Carlo estimate stays
+as a test oracle.
 
 Both averages over a gain distribution are fixed-order Gauss-Legendre sums
 with every cut bounded relative to the average; the adaptive integrator of
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, gammaln
 
 from . import parallel
 from .channel import SystemConfig
 from .errors import NumericError
 from .fas_stats import GainDistribution, _panel_rule, cdf_gfas, pdf_gfas
+from .specfun import _poisson_tails
 
 # statistical_bler lets the mass above its top edge, and its head cut, drop
 # at most these fractions of the average, and adds at most _MAX_PANELS.
@@ -263,13 +266,15 @@ def mrc_outage(branches, config: SystemConfig) -> float:
     """Outage of an L-branch MRC receiver with i.i.d. Rayleigh branches.
 
     The combined gain is Gamma(L, sigma^2), so the outage is the regularized
-    lower incomplete gamma P(L, t_th / sigma^2).
+    lower incomplete gamma P(L, t_th / sigma^2), the chance that a Poisson
+    count of mean t_th / sigma^2 reaches L.
     """
     branches = _positive_int("branches", branches)
     spec = outage_threshold(config)
     if spec.saturated:
         return 1.0
-    return float(gammainc(branches, spec.t_th / config.channel_variance))
+    _, outage = _poisson_tails(branches, spec.t_th / config.channel_variance)
+    return outage
 
 
 def mrc_statistical_bler(branches, config: SystemConfig) -> float:
@@ -282,9 +287,12 @@ def mrc_statistical_bler(branches, config: SystemConfig) -> float:
     incomplete gamma P(L, s / sigma^2), at most eps / (1 - eps) of the
     average too high. Above s, h times the Gamma density is summed by
     Gauss-Legendre panels one e-fold of the gain wide (narrower past L = 64),
-    up to the gain u with P(G > u) = eps. On [0, u] min(h, 1) >= h(u), so
-    the part past u is at most eps / (1 - eps) of the average. With U = 1,
-    where h(0) = 1, s is still positive, so the panels start above 0.
+    up to the first panel edge u with P(G > u) <= eps. On [0, u]
+    min(h, 1) >= h(u), so the part past u is at most eps / (1 - eps) of the
+    average; any such u does, so no inverse of the incomplete gamma is
+    needed. Both tails of G at an edge are those of a Poisson count
+    (specfun._poisson_tails). With U = 1, where h(0) = 1, s is still
+    positive, so the panels start above 0.
 
     It draws nothing; mrc_conditional_bler, the seeded Monte Carlo of the
     same average, is its test oracle.
@@ -308,18 +316,20 @@ def mrc_statistical_bler(branches, config: SystemConfig) -> float:
         mid = math.sqrt(lo * hi)
         lo, hi = (mid, hi) if above(mid) else (lo, mid)
 
-    head = float(gammainc(branches, hi / variance))
-    upper = variance * float(gammainccinv(branches, _MRC_SLACK))
-    if hi >= upper:
+    beyond, head = _poisson_tails(branches, hi / variance)
+    if beyond <= _MRC_SLACK:
         return min(head, 1.0)
     width = min(1.0, _MRC_PANEL_SPREAD / math.sqrt(branches))
-    edges = hi * np.exp(width * np.arange(math.ceil(math.log(upper / hi) / width) + 1.0))
-    edges[-1] = upper
+    edges = [hi]
+    while beyond > _MRC_SLACK:
+        edges.append(hi * math.exp(width * len(edges)))
+        beyond, _ = _poisson_tails(branches, edges[-1] / variance)
+    edges = np.array(edges)
     rule = _panel_rule(_PANEL_ORDER)
     half = 0.5 * np.diff(edges)
     t = ((edges[:-1] + half)[:, None] + half[:, None] * rule.nodes).reshape(-1)
     log_density = ((branches - 1) * np.log(t) - t / variance
-                   - branches * math.log(variance) - gammaln(branches))
+                   - branches * math.log(variance) - math.lgamma(branches))
     values = bound(t[:, None] * coef) * np.exp(log_density)
     tail = float(np.sum((values.reshape(half.size, -1) @ rule.weights) * half))
     return min(head + tail, 1.0)

@@ -5,9 +5,11 @@ int_0^inf e^(-x) f(x) dx. Those are evaluated with Gauss rules synthesized
 by the Golub-Welsch procedure: nodes are the eigenvalues of the symmetric
 tridiagonal Jacobi matrix of the orthogonal polynomial family and weights
 are the squared first components of its unit eigenvectors times the zeroth
-moment. Laguerre rules (diagonal 2n+1, off-diagonal n) serve where f is
-smooth on the scale of the nodes; Legendre rules (diagonal 0, off-diagonal
-n/sqrt(4n^2-1)) build the panels that cover a sharp feature of f.
+moment. The matrix has order at most MAX_ORDER = 256, so numpy's dense
+symmetric eigensolver takes it whole. Laguerre rules (diagonal 2n+1,
+off-diagonal n) serve where f is smooth on the scale of the nodes; Legendre
+rules (diagonal 0, off-diagonal n/sqrt(4n^2-1)) build the panels that cover
+a sharp feature of f.
 
 integrate_adaptive is a deliberately independent verification path: a
 globally adaptive Gauss-Kronrod 7/15 scheme with hardcoded nodes, sharing
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericError
 
@@ -92,8 +93,9 @@ def tridiag_eigen(diagonal, offdiagonal):
         raise ValueError("offdiagonal must have length len(diagonal) - 1")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal entries must be finite")
+    jacobi = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     try:
-        vals, vecs = eigh_tridiagonal(d, e)
+        vals, vecs = np.linalg.eigh(jacobi)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return vals, np.abs(vecs[0, :])

@@ -1,13 +1,15 @@
 """Special functions for noncentral chi-square tail work.
 
 Everything that feeds the gain distribution runs through here: the
-exponentially scaled Bessel I0, the first-order Marcum Q function, and the
+exponentially scaled Bessel I0, the first-order Marcum Q function, the
 density / distribution function of the 2-degree-of-freedom noncentral
-chi-square law. The correlation regimes of interest push the noncentrality
-to a few tens of thousands, so all probabilities are assembled from sums of
-positive terms with the seeds of those sums carried in log space; nothing
-in this module evaluates e^x * I0(x) unscaled or exponentiates a large
-positive number.
+chi-square law, and the two tails of a Poisson count, which are the
+regularized incomplete gamma functions of integer order. The correlation
+regimes of interest push the noncentrality to a few tens of thousands, so
+all probabilities are assembled from sums of positive terms with the seeds
+of those sums carried in log space; nothing in this module evaluates
+e^x * I0(x) unscaled or exponentiates a large positive number. It needs
+numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import NumericError
 
@@ -91,6 +92,124 @@ def bessel_i0_scaled(x):
 
 
 # ============================================================================
+# Poisson tails: regularized incomplete gamma functions of integer order
+# ============================================================================
+
+# For N ~ Pois(y) and an integer n >= 1, P(N >= n) = P(n, y) and
+# P(N <= n - 1) = Q(n, y), the regularized lower and upper incomplete gamma
+# functions. The smaller tail is a sum of positive terms seeded at one pmf
+# value; the seed is taken in Loader's saddle-point form (C. Loader, "Fast
+# and Accurate Computation of Binomial Probabilities", 2000),
+#
+#     p(k; y) = exp(-stirlerr(k) - bd0(k, y)) / sqrt(2 pi k),
+#
+# because the naive exponent k ln y - y - ln k! cancels terms of size k ln y
+# down to the small deviance bd0(k, y) = k ln(k / y) + y - k.
+
+# stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln sqrt(2 pi) for k = 1 .. 15,
+# from 40-digit mpmath; index 0 is unused (p(0; y) = e^(-y)).
+_STIRLERR = (
+    0.0,
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+# Coefficients of the Stirling series 1/(12k) - 1/(360k^3) + ... used above
+# the table.
+_S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+# The smaller tail's series is cut where its term falls below e^(-40) of
+# the first, past the sum's round-off.
+_SERIES_LOG_CUT = 40.0
+# An upper-tail series of up to this many terms is summed in a Python loop,
+# a longer one in numpy, whose fixed cost per call is about that of this
+# many loop steps. (Most of the block factors' tails need 10 to 60 terms.)
+_LOOP_TERMS = 48
+
+
+def _stirlerr(k: int) -> float:
+    if k < len(_STIRLERR):
+        return _STIRLERR[k]
+    kk = float(k) * k
+    if k > 500:
+        return (_S0 - _S1 / kk) / k
+    if k > 80:
+        return (_S0 - (_S1 - _S2 / kk) / kk) / k
+    if k > 35:
+        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(k: int, y: float) -> float:
+    """k ln(k / y) + y - k for k, y > 0, to a few ulps.
+
+    Where |k - y| < (k + y) / 2 it is the series (k - y) v + 2k sum_j
+    v^(2j+1) / (2j + 1), v = (k - y) / (k + y), whose leading term carries
+    it; Loader switches at a tenth, where the direct form still cancels
+    tenfold.
+    """
+    if abs(k - y) < 0.5 * (k + y):
+        v = (k - y) / (k + y)
+        total = (k - y) * v
+        term = 2.0 * k * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            nxt = total + term / (2 * j + 1)
+            if nxt == total:
+                return total
+            total = nxt
+            j += 1
+    return k * math.log(k / y) + y - k
+
+
+def _poisson_pmf(k: int, y: float) -> float:
+    if k == 0:
+        return math.exp(-y)
+    return math.exp(-_stirlerr(k) - _bd0(k, y)) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_tails(n: int, y: float) -> tuple:
+    """(P(N <= n - 1), P(N >= n)) for N ~ Pois(y), integer n >= 1, y >= 0.
+
+    These are Q(n, y) and P(n, y). For y < n the upper tail is
+    p(n) (1 + y/(n+1) + y^2/((n+1)(n+2)) + ...), otherwise the lower tail is
+    p(n-1) (1 + (n-1)/y + (n-1)(n-2)/y^2 + ...); the other tail is the
+    complement, which is then at least about 1/2. Term j of
+    either series is at most exp(-j |ln(n / y)|) and at most
+    exp(-j^2 / (2 (n + j))), so its length is fixed before it is summed.
+    Against 50-digit mpmath the smaller tail errs by at most about
+    3 eps ln(1 / value) relative.
+    """
+    if y == 0.0:
+        return 1.0, 0.0
+    cut = _SERIES_LOG_CUT
+    if y < n:
+        seed = _poisson_pmf(n, y)
+        if seed == 0.0:
+            return 1.0, 0.0
+        m = math.ceil(min(cut / math.log(n / y), cut + math.sqrt(cut * cut + 2.0 * cut * n)))
+        if m > _LOOP_TERMS:
+            series = 1.0 + float((y / np.arange(n + 1.0, n + m + 1.0)).cumprod().sum())
+        else:
+            series = term = 1.0
+            for k in range(n + 1, n + m + 1):
+                term *= y / k
+                series += term
+        upper = seed * series
+        return 1.0 - upper, upper
+    seed = _poisson_pmf(n - 1, y)
+    if seed == 0.0:
+        return 0.0, 1.0
+    by_ratio = cut / math.log(y / n) if y > n else math.inf
+    m = min(n - 1, math.ceil(min(by_ratio, math.sqrt(2.0 * cut * n))))
+    lower = seed * (1.0 + float((np.arange(n - 1.0, n - 1.0 - m, -1.0) / y).cumprod().sum()))
+    return lower, 1.0 - lower
+
+
+# ============================================================================
 # Marcum Q via the Poisson mixture of the noncentral chi-square law
 # ============================================================================
 
@@ -102,11 +221,11 @@ def bessel_i0_scaled(x):
 #     Q1(a, b) = P(N_y <= N_w) = sum_k P(N_w = k) * P(N_y <= k).
 #
 # The sum is truncated to a window around the bulk of N_w; the Poisson CDF
-# of N_y at the window edge is seeded from the regularized incomplete gamma
-# and then advanced by the pmf recurrence. The neglected mass is bounded by
-# the Poisson tail beyond ~9.5 standard deviations (< 1e-19), and every
-# retained term is positive, so tiny results keep their relative accuracy
-# and huge arguments merely underflow to 0 instead of overflowing.
+# of N_y at the window edge is seeded from _poisson_tails and then advanced
+# by the pmf recurrence. The neglected mass is bounded by the Poisson tail
+# beyond ~9.5 standard deviations (< 1e-19), and every retained term is
+# positive, so tiny results keep their relative accuracy and huge arguments
+# merely underflow to 0 instead of overflowing.
 
 _WINDOW_SIGMAS = 9.5
 _WINDOW_PAD = 26
@@ -138,11 +257,11 @@ def marcum_q1(a, b):
 
     lo, hi = _poisson_window(w)
     k = np.arange(lo, hi + 1, dtype=float)
-    lgk = gammaln(k + 1.0)
+    lgk = _log_factorial_table(hi + 1)[lo:]
     pmf_w = np.exp(k * math.log(w) - w - lgk)
     pmf_y = np.exp(k * math.log(y) - y - lgk)
     # P(N_y <= k) along the window, seeded at the lower edge.
-    edge = float(gammaincc(lo + 1.0, y))
+    edge, _ = _poisson_tails(lo + 1, y)
     cdf_y = np.minimum(edge + (np.cumsum(pmf_y) - pmf_y[0]), 1.0)
     q = float(np.dot(pmf_w, cdf_y))
     return min(1.0, max(0.0, q))
@@ -181,19 +300,23 @@ def ncx2_cdf(x, lam):
     return 1.0 - marcum_q1(math.sqrt(lam), math.sqrt(x))
 
 
-# gammaln(k + 1) for k = 0, 1, ...; Ncx2Family slices it. It starts empty and
-# only grows, by rebinding the name to a longer fresh array, so a reader
-# holding the old table or a slice of it is never disturbed (thread-safe
-# without a lock).
+# ln k! = lgamma(k + 1) for k = 0, 1, ...; marcum_q1 and Ncx2Family slice
+# it. It starts empty and only grows, by rebinding the name to a longer
+# fresh array whose new entries come from math.lgamma, so a reader holding
+# the old table or a slice of it is never disturbed (thread-safe without a
+# lock).
 _log_factorials = np.empty(0)
 
 
 def _log_factorial_table(count: int) -> np.ndarray:
-    """gammaln(k + 1) for k = 0 .. count - 1, as a read-only view."""
+    """lgamma(k + 1) for k = 0 .. count - 1, as a read-only view."""
     global _log_factorials
     table = _log_factorials
     if table.size < count:
-        table = gammaln(np.arange(1.0, max(count, 2 * table.size) + 1.0))
+        size = max(count, 2 * table.size)
+        grown = np.fromiter(map(math.lgamma, range(table.size + 1, size + 1)), float,
+                            size - table.size)
+        table = np.concatenate([table, grown])
         table.flags.writeable = False
         _log_factorials = table
     return table[:count]
@@ -214,10 +337,10 @@ class Ncx2Family:
 
     Both tails come from cumulative sums taken in the direction that keeps
     them sums of positive terms (forward for the lower Poisson CDF, reverse
-    for the upper), with the mass beyond the window supplied by the
-    regularized incomplete gamma. The lower tail of the chi-square law
-    therefore keeps relative accuracy at small x instead of degrading to
-    1 - (something near 1).
+    for the upper), with the mass beyond the window supplied by
+    _poisson_tails. The lower tail of the chi-square law therefore keeps
+    relative accuracy at small x instead of degrading to 1 - (something
+    near 1).
     """
 
     def __init__(self, lams):
@@ -274,7 +397,7 @@ class Ncx2Family:
         # down, plus P(N_y > kmax)
         upper = np.empty_like(pmf_y)
         np.cumsum(pmf_y[:0:-1], out=upper[-2::-1])
-        beyond = float(gammainc(self._kmax + 1.0, 0.5 * x))
+        _, beyond = _poisson_tails(self._kmax + 1, 0.5 * x)
         upper[:-1] += beyond
         upper[-1] = beyond
         sf = self._mix @ lower

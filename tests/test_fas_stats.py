@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, gammaln
 
 from fblfas import fas_stats
 from fblfas.channel import BlockModel, build_correlation, fit_block_model
@@ -26,7 +25,13 @@ from fblfas.fas_stats import (
     quantile,
 )
 from fblfas.quadrature import gauss_laguerre
-from fblfas.specfun import Ncx2Family, _poisson_window, ncx2_cdf
+from fblfas.specfun import (
+    Ncx2Family,
+    _log_factorial_table,
+    _poisson_tails,
+    _poisson_window,
+    ncx2_cdf,
+)
 
 # mpmath, dps=30, sigma^2 = 2 reference scale
 FACTOR_REFERENCE = [
@@ -119,21 +124,22 @@ class TestBlockFactor:
     def test_block_factor_families_keep_the_former_kernel_bits(self):
         # the former kernel, written out: a fresh temporary per operation for
         # the table and the pmf row, both tails from whole cumulative sums and
-        # a second row for the density. On the families the block factors
-        # build at mu2 = 0.97 (the split rule's, with kmax from about 40 to
-        # about 1,300, and the Laguerre nodes', reused across abscissas) the
-        # family's tails and its density, read from the row tails kept,
-        # equal it bit for bit.
+        # a second row for the density, reading ln k! from the shared table
+        # and the mass beyond the window from _poisson_tails as the family
+        # does. On the families the block factors build at mu2 = 0.97 (the
+        # split rule's, with kmax from about 40 to about 1,300, and the
+        # Laguerre nodes', reused across abscissas) the family's tails and
+        # its density, read from the row tails kept, equal it bit for bit.
         def former(lams, x):
             means = 0.5 * lams
             k = np.arange(_poisson_window(float(means.max()))[1] + 1, dtype=float)
-            lgk = gammaln(k + 1.0)
+            lgk = _log_factorial_table(k.size).copy()
             mix = np.exp(k[None, :] * np.log(np.maximum(means, 1e-300))[:, None]
                          - means[:, None] - lgk[None, :])
             y = 0.5 * x
             pmf = np.exp(k * math.log(max(y, 1e-300)) - y - lgk)
             rev = np.cumsum(pmf[::-1])[::-1]
-            beyond = float(gammainc(k[-1] + 1.0, 0.5 * x))
+            _, beyond = _poisson_tails(k.size, 0.5 * x)
             upper = np.empty_like(pmf)
             upper[:-1] = rev[1:] + beyond
             upper[-1] = beyond
@@ -243,6 +249,34 @@ class TestCdfGfas:
 
     def test_infinite_gain_saturates(self):
         assert cdf_gfas(reference_distribution(), math.inf) == 1.0
+
+    def test_abscissa_that_underflows_to_zero(self):
+        # at sigma^2 = 100 the chi-square abscissa x of t = 1e-322 is the
+        # smallest subnormal, and x / 2 rounds to 0: F2(x; 0) = 0 there, which
+        # divided by zero in the split rule's slope bound (ZeroDivisionError
+        # from both functions) while 2e-322 already returned 0
+        model = fit_block_model(build_correlation(50, 1.0), 0.5)
+        for t in (5e-324, 1e-322, 2e-322, 1e-300):
+            dist = GainDistribution(model, channel_variance=100.0)
+            assert cdf_gfas(dist, t) == 0.0
+            assert pdf_gfas(dist, t) == 0.0
+
+
+class TestNormalQuantile:
+    # the split rule places its panels with the standard normal quantile
+    def test_matches_scipy_ndtri(self):
+        # 8.3e-16 at most over these points
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(2)
+        ps = np.concatenate([np.geomspace(1e-300, 0.5, 600), 1.0 - np.geomspace(1e-16, 0.5, 200),
+                             rng.uniform(0.0, 1.0, 400)])
+        for p in ps:
+            got, want = fas_stats._normal_quantile(float(p)), float(ndtri(p))
+            assert abs(got - want) <= 1e-15 * abs(want), p
+
+    def test_zero_maps_to_minus_infinity(self):
+        assert fas_stats._normal_quantile(0.0) == -math.inf
 
 
 class TestPdfGfas:

@@ -10,6 +10,10 @@ are the default `bler-vs-snr` and `bler-vs-u`, first captured when they
 took 130 s and 8 s and `bler-vs-snr` warned four times, for the low-SNR
 points whose adaptive integral did not converge; their fas columns were
 re-captured for the fixed-order error-bound rule, within 1e-12 relative.
+Every analytic and MRC column was re-captured once more when the library
+dropped scipy (its own Poisson tails, ln k! table, inverse normal and
+Gauss rule solver), within 5.3e-13 relative, and quad-check's squared
+errors within 9.2e-28 absolute; the Monte Carlo columns kept their bytes.
 Every sweep must run without a warning.
 Rewrite a file only for an output change that is intended and stated.
 """

@@ -17,6 +17,7 @@ from scipy.special import gammaln
 from fblfas import specfun
 from fblfas.errors import NumericError
 from fblfas.specfun import (
+    _EPS,
     Ncx2Family,
     bessel_i0_scaled,
     marcum_q1,
@@ -125,6 +126,101 @@ class TestMarcumQ1:
             marcum_q1(math.nan, 1.0)
 
 
+def _mpmath_poisson_tails(mpmath, n, y):
+    """(P(N <= n-1), P(N >= n)) for N ~ Pois(y) at 50 digits.
+
+    The smaller tail is summed term by term from its edge outward, seeded
+    with mpmath's own log-gamma, until the terms fall below 1e-45 of the
+    sum; the other tail is its complement.
+    """
+    mpmath.mp.dps = 50
+    y = mpmath.mpf(y)
+    if y < n:
+        term = mpmath.exp(n * mpmath.log(y) - y - mpmath.loggamma(n + 1))
+        total, k = term, n
+        while term > total * mpmath.mpf(10) ** -45:
+            k += 1
+            term = term * y / k
+            total += term
+        return 1 - total, total
+    term = mpmath.exp((n - 1) * mpmath.log(y) - y - mpmath.loggamma(n))
+    total, k = term, n - 1
+    while k > 0 and term > total * mpmath.mpf(10) ** -45:
+        term = term * k / y
+        k -= 1
+        total += term
+    return total, 1 - total
+
+
+class TestPoissonTails:
+    # _poisson_tails(n, y) = (P(N <= n-1), P(N >= n)) for N ~ Pois(y), which
+    # are scipy's gammaincc(n, y) and gammainc(n, y)
+
+    def test_closed_forms_and_limits(self):
+        assert specfun._poisson_tails(1, 0.0) == (1.0, 0.0)
+        assert specfun._poisson_tails(7, 0.0) == (1.0, 0.0)
+        for y in (1e-300, 0.3, 5.0, 700.0):
+            lower, upper = specfun._poisson_tails(1, y)
+            assert lower == pytest.approx(math.exp(-y), rel=1e-15)
+            assert upper == pytest.approx(-math.expm1(-y), rel=1e-15)
+        # far from the mean the small tail underflows and the other is 1
+        assert specfun._poisson_tails(5, 1e5) == (0.0, 1.0)
+        assert specfun._poisson_tails(100_000, 10.0) == (1.0, 0.0)
+        # tiny values keep their relative accuracy: P(N >= 3) ~ y^3 / 6
+        assert specfun._poisson_tails(3, 1e-90)[1] == pytest.approx(1e-270 / 6.0, rel=1e-14)
+
+    def test_matches_mpmath_to_the_seed_accuracy(self):
+        # The smaller tail is p(k) times a sum of positive terms, and p(k) is
+        # exp(-E) with E = ln(1 / value) computed to a few ulps, so its
+        # relative error grows like eps E: 3.0 eps E at most was measured
+        # over 4,720 values of 1e-290 and up (5.2e-14 at value >= 1e-40),
+        # where scipy's gammainc errs by up to 1.5e-11.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(160):
+            n = int(math.exp(rng.uniform(0.0, math.log(2e4))))
+            if rng.random() < 0.3:
+                y = float(rng.uniform(0.0, 2 * n + 40))
+            else:
+                y = max(0.0, n + float(rng.normal()) * math.sqrt(n) * float(rng.uniform(0.0, 45.0)))
+            y = min(y, 2.0 * n + 40.0)
+            got = specfun._poisson_tails(n, y)
+            for value, want in zip(got, _mpmath_poisson_tails(mpmath, n, y)):
+                want = float(want)
+                if want >= 1e-290:
+                    checked += 1
+                    bound = max(1e-13, 4.0 * _EPS * math.log(1.0 / want))
+                    assert abs(value - want) <= bound * want, (n, y, value, want)
+        assert checked > 250
+
+    def test_matches_scipy_incomplete_gamma(self):
+        # 1e-13 on values >= 1e-3 (4.1e-14 measured on this grid). Deeper in
+        # the tails scipy's own error sets the bound: on this grid the two
+        # differ by up to 2.9e-11, and at such points (n = 9464, y = 13358,
+        # value 1.8e-277; n = 80, y = 117, value 1.2e-4 differs by 1.1e-13)
+        # 50-digit mpmath sides with _poisson_tails, which the test above
+        # holds to 1e-13 down to 1e-40.
+        from scipy.special import gammainc, gammaincc
+
+        worst_bulk = worst_tail = 0.0
+        for n in (1, 2, 3, 5, 10, 15, 16, 17, 35, 36, 80, 81, 200, 500, 501, 1000,
+                  2048, 5000, 9464, 20000):
+            spread = np.linspace(-40.0, 40.0, 161) * math.sqrt(n) + n
+            ys = np.concatenate([np.linspace(0.0, 2 * n + 40, 201), spread, [n - 1, n, n + 1]])
+            for y in ys[(ys >= 0.0) & (ys <= 2 * n + 40)]:
+                lower, upper = specfun._poisson_tails(n, float(y))
+                for value, want in ((lower, gammaincc(n, y)), (upper, gammainc(n, y))):
+                    if want >= 1e-290:
+                        rel = abs(value - want) / want
+                        if want >= 1e-3:
+                            worst_bulk = max(worst_bulk, rel)
+                        else:
+                            worst_tail = max(worst_tail, rel)
+        assert worst_bulk <= 1e-13
+        assert worst_tail <= 5e-11
+
+
 class TestNcx2:
     def test_central_case_is_exponential(self):
         for x in (0.1, 1.0, 4.0, 20.0):
@@ -179,7 +275,10 @@ class TestNcx2Family:
             cdf, sf = fam.tails(x)
             np.testing.assert_allclose(cdf + sf, 1.0, atol=1e-10)
 
-    def test_log_factorial_table_is_gammaln_and_grows_by_rebinding(self, monkeypatch):
+    def test_log_factorial_table_is_lgamma_and_grows_by_rebinding(self, monkeypatch):
+        def lgammas(count):
+            return np.array([math.lgamma(k + 1.0) for k in range(count)])
+
         monkeypatch.setattr(specfun, "_log_factorials", np.empty(0))
         first = specfun._log_factorial_table(64)
         before = specfun._log_factorials
@@ -189,14 +288,33 @@ class TestNcx2Family:
         grown = specfun._log_factorial_table(3000)
         assert specfun._log_factorials is not before and specfun._log_factorials.size >= 3000
         assert np.array_equal(before, kept)  # a reader of the old table sees no change
-        k = np.arange(3000, dtype=float)
-        assert np.array_equal(grown, gammaln(k + 1.0))
-        assert np.array_equal(first, gammaln(k[:64] + 1.0))
-        assert np.array_equal(small, gammaln(k[:40] + 1.0))
+        assert np.array_equal(grown, lgammas(3000))
+        assert np.array_equal(first, lgammas(64))
+        assert np.array_equal(small, lgammas(40))
         assert not grown.flags.writeable
         # a family wider than the table grows it and keeps its bits
         fam = Ncx2Family(np.array([0.0, 9000.0]))
-        assert np.array_equal(fam._lgk, gammaln(np.arange(fam._kmax + 1.0) + 1.0))
+        assert np.array_equal(fam._lgk, lgammas(fam._kmax + 1))
+        # marcum_q1 reads its window from the same table
+        lo, hi = specfun._poisson_window(0.5 * 300.0 ** 2)
+        marcum_q1(300.0, 290.0)
+        assert specfun._log_factorials.size > hi
+        assert np.array_equal(specfun._log_factorials[lo:hi + 1], lgammas(hi + 1)[lo:])
+
+    def test_log_factorial_table_is_within_four_ulps_of_mpmath(self):
+        # 40-digit ln k! at a spread of k up to the largest window the
+        # default sweeps tabulate; scipy's gammaln, the former source of the
+        # table, is held to the same bound
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        ks = sorted({0, 1, 2, 3, 10, 15, 16, 100, 999, 1000, 4097, 12345, 70000}
+                    | set(np.random.default_rng(5).integers(0, 70000, 40).tolist()))
+        table = specfun._log_factorial_table(max(ks) + 1)
+        for k in ks:
+            want = mpmath.loggamma(k + 1)
+            ulp = math.ulp(float(want)) if k > 1 else math.ulp(0.0)
+            for got in (float(table[k]), float(gammaln(k + 1.0))):
+                assert abs(float(mpmath.mpf(got) - want)) <= 4 * ulp, (k, got)
 
     def test_tabulation_guard(self):
         # a huge family at huge noncentrality would need an absurd Poisson
