@@ -21,15 +21,12 @@ from .specfun import (
 )
 from .quadrature import (
     AdaptiveResult,
-    JacobiTridiagonal,
     QuadratureRule,
     gauss_laguerre,
     integrate_adaptive,
-    tridiag_eigen,
 )
 from .channel import (
     BlockModel,
-    EigenFactor,
     SystemConfig,
     ToeplitzCorrelation,
     build_correlation,
@@ -50,7 +47,6 @@ from .fas_stats import (
     quantile,
 )
 from .metrics import (
-    OutageSpec,
     codeword_correlation,
     combinatorial_exponent,
     conditional_bler,
@@ -76,13 +72,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveResult",
     "BlockModel",
-    "EigenFactor",
     "GainDistribution",
-    "JacobiTridiagonal",
     "McEstimate",
     "Ncx2Family",
     "NumericError",
-    "OutageSpec",
     "QuadratureRule",
     "SystemConfig",
     "ToeplitzCorrelation",

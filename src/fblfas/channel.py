@@ -18,8 +18,8 @@ the channel's distribution is the same. The correlation structure is
 condensed into a small block model (per-block size L_b, shared
 intra-block correlation mu^2) for the analytical distribution work. The
 block fit is matrix-free: it finds the leading eigenvalues from the first
-row alone, so only the Monte Carlo factorization ever builds the N x N
-matrix.
+row alone, so only the Monte Carlo factorization (eigen_factor) ever
+builds the N x N matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import NumericError
 __all__ = [
     "SystemConfig",
     "ToeplitzCorrelation",
-    "EigenFactor",
     "BlockModel",
     "build_correlation",
     "eigen_factor",
@@ -158,8 +156,8 @@ def _toeplitz(row: np.ndarray) -> np.ndarray:
 class ToeplitzCorrelation:
     """Port correlation, the symmetric Toeplitz matrix of its first row.
 
-    The dense N x N matrix is built on first access and then kept; the
-    block fit never asks for it, only the Monte Carlo factorization does.
+    Only the row is kept; eigen_factor builds the dense N x N matrix for
+    the Monte Carlo factorization, and the block fit never does.
     """
 
     size: int
@@ -168,28 +166,6 @@ class ToeplitzCorrelation:
     def __post_init__(self):
         if np.shape(self.first_row) != (self.size,):
             raise ValueError("first_row must hold one value per port (size)")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _toeplitz(self.first_row)
-
-
-@dataclass(frozen=True)
-class EigenFactor:
-    """Eigendecomposition of a correlation matrix, eigenvalues descending."""
-
-    eigenvectors: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def factor(self) -> np.ndarray:
-        """Q_r Lambda_r^(1/2), the N x r sampling matrix.
-
-        Only the r columns whose eigenvalues were not clipped to zero are
-        kept; the others contribute nothing to any draw.
-        """
-        rank = int(np.count_nonzero(self.eigenvalues))
-        return self.eigenvectors[:, :rank] * np.sqrt(self.eigenvalues[:rank])[None, :]
 
 
 @dataclass(frozen=True)
@@ -229,25 +205,21 @@ def build_correlation(ports: int, width: float) -> ToeplitzCorrelation:
     return ToeplitzCorrelation(size=int(ports), first_row=row)
 
 
-def eigen_factor(corr: ToeplitzCorrelation) -> EigenFactor:
-    """Eigendecomposition with round-off eigenvalues clipped to zero.
+def eigen_factor(corr: ToeplitzCorrelation) -> np.ndarray:
+    """Q_r Lambda_r^(1/2), the N x r sampling matrix of the correlation.
 
     The sinc kernel is numerically rank deficient, so the bottom of the
-    spectrum comes out as tiny values of either sign; everything below
-    1e-12 of the largest eigenvalue is set to 0 so Lambda^(1/2) stays real.
+    spectrum comes out as tiny values of either sign; only the r columns
+    whose eigenvalues reach 1e-12 of the largest are kept, in descending
+    order of eigenvalue. The others would contribute nothing to any draw.
     """
-    vals, vecs = np.linalg.eigh(corr.matrix)
+    vals, vecs = np.linalg.eigh(_toeplitz(corr.first_row))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    floor = EIGENVALUE_CLIP * float(vals[0])
     if not (vals[0] > 0.0):
         raise NumericError("correlation matrix has no positive eigenvalue")
-    vals[vals < floor] = 0.0
-    return EigenFactor(eigenvectors=vecs, eigenvalues=vals)
-
-
-def _identity_factor(ports: int) -> EigenFactor:
-    return EigenFactor(eigenvectors=np.eye(ports), eigenvalues=np.ones(ports))
+    rank = int(np.count_nonzero(vals >= EIGENVALUE_CLIP * float(vals[0])))
+    return vecs[:, :rank] * np.sqrt(vals[:rank])[None, :]
 
 
 def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
@@ -270,16 +242,17 @@ def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
         yield start, (z @ scaled).reshape(rows, 2, ports)
 
 
-def sample_channels(factor: EigenFactor, sigma2: float, count: int, seed: int,
+def sample_channels(factor: np.ndarray, sigma2: float, count: int, seed: int,
                     workers=None) -> np.ndarray:
     """Draw correlated channel vectors g = Q_r Lambda_r^(1/2) g0.
 
     g0 holds r i.i.d. circular complex Gaussian mode weights of variance
     sigma2 (split evenly between real and imaginary parts), one per
-    eigenvalue kept by the factor, so each port's |g_k|^2 is exponential
-    with mean sigma2. Real and imaginary parts are real products with the
-    N x r factor, so a draw costs O(rN), not O(N^2). This is the library's
-    one sampling path: montecarlo's gain draws go through the same kernel.
+    column of the N x r factor (eigen_factor's), so each port's |g_k|^2 is
+    exponential with mean sigma2. Real and imaginary parts are real
+    products with the factor, so a draw costs O(rN), not O(N^2). This is
+    the library's one sampling path: montecarlo's gain draws go through
+    the same kernel.
 
     Returns a (count, N) complex array. Draws are organized in fixed-size
     chunks keyed by (seed, chunk index), so the output is bit-identical for
@@ -289,7 +262,7 @@ def sample_channels(factor: EigenFactor, sigma2: float, count: int, seed: int,
         raise ValueError("sigma2 must be positive and finite")
     if count < 1:
         raise ValueError("count must be >= 1")
-    factor_t = factor.factor.T
+    factor_t = np.asarray(factor, dtype=float).T
 
     def task(index, size):
         out = np.empty((size, factor_t.shape[1]), dtype=complex)
@@ -411,6 +384,27 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
 # repr(), which round-trips binary doubles exactly.
 
 
+def _read_fields(path, keys) -> dict:
+    """{key: value} of a `key=value` file that sets each of keys once.
+
+    Blank lines are skipped; a line without `=`, an unknown or repeated
+    key, or a missing one raises ValueError.
+    """
+    fields = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in filter(str.strip, fh):
+            key, sep, value = (part.strip() for part in line.partition("="))
+            problem = ("expected key=value" if not sep else "unknown key" if key not in keys
+                       else "repeated key" if key in fields else None)
+            if problem:
+                raise ValueError(f"{path}: {problem}: {line.strip()!r}")
+            fields[key] = value
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing key {', '.join(missing)}")
+    return fields
+
+
 def save_correlation(corr: ToeplitzCorrelation, path) -> None:
     lines = [f"size={corr.size}",
              "first_row=" + ",".join(repr(float(v)) for v in corr.first_row)]
@@ -419,31 +413,9 @@ def save_correlation(corr: ToeplitzCorrelation, path) -> None:
 
 
 def load_correlation(path) -> ToeplitzCorrelation:
-    """Read a saved correlation.
-
-    Files written before the matrix was dropped from the layout end with a
-    `matrix:` marker and one CSV row per matrix row; such a block is
-    accepted only if it is the Toeplitz matrix of the stored first row.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = {}
-    rows = None
-    for ln in lines:
-        if rows is not None:
-            rows.append([float(v) for v in ln.split(",")])
-        elif ln.strip() == "matrix:":
-            rows = []
-        else:
-            key, _, val = ln.partition("=")
-            header[key.strip()] = val
-    first_row = np.array([float(v) for v in header["first_row"].split(",")])
-    corr = ToeplitzCorrelation(size=int(header["size"]), first_row=first_row)
-    if rows is not None and not (
-            all(len(r) == corr.size for r in rows)
-            and np.array_equal(np.array(rows), corr.matrix)):
-        raise ValueError("correlation file's matrix is not the Toeplitz matrix of its first row")
-    return corr
+    fields = _read_fields(path, ("size", "first_row"))
+    first_row = np.array([float(v) for v in fields["first_row"].split(",")])
+    return ToeplitzCorrelation(size=int(fields["size"]), first_row=first_row)
 
 
 def save_block_model(model: BlockModel, path) -> None:
@@ -455,14 +427,9 @@ def save_block_model(model: BlockModel, path) -> None:
 
 
 def load_block_model(path) -> BlockModel:
-    header = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.strip():
-                key, _, val = ln.partition("=")
-                header[key.strip()] = val.strip()
+    fields = _read_fields(path, ("block_count", "block_sizes", "mu2"))
     return BlockModel(
-        block_count=int(header["block_count"]),
-        block_sizes=tuple(int(s) for s in header["block_sizes"].split(",")),
-        mu2=float(header["mu2"]),
+        block_count=int(fields["block_count"]),
+        block_sizes=tuple(int(s) for s in fields["block_sizes"].split(",")),
+        mu2=float(fields["mu2"]),
     )

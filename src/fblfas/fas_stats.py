@@ -222,8 +222,7 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
 
 
 def _tabulate(family: Ncx2Family, x: float, density: bool):
-    cdfs, _ = family.tails(x)
-    return cdfs, (family.pdf(x) if density else None)
+    return family.tails(x), (family.pdf(x) if density else None)
 
 
 def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,

@@ -25,7 +25,6 @@ for tightness studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -226,40 +225,26 @@ def codeword_correlation(blocklength) -> float:
     return math.sqrt(math.pi / (4.0 * blocklength))
 
 
-@dataclass(frozen=True)
-class OutageSpec:
-    """Threshold data of the SINR outage event.
+def outage_threshold(config: SystemConfig) -> float:
+    """Gain threshold t_th = sigma_eta^2 gamma_th / (1 - (U-1)(U rho + 1) gamma_th).
 
     t_th is the gain level below which the SINR target gamma_th cannot be
-    met; it is +inf (saturated) when interference alone already forbids the
-    target for every gain.
+    met, rho = codeword_correlation(M). It is math.inf (saturated) when
+    interference alone already forbids the target for every gain.
     """
-
-    gamma_th: float
-    rho_bar: float
-    t_th: float
-
-    @property
-    def saturated(self) -> bool:
-        return math.isinf(self.t_th)
-
-
-def outage_threshold(config: SystemConfig) -> OutageSpec:
-    """Gain threshold t_th = sigma_eta^2 gamma_th / (1 - (U-1)(U rho + 1) gamma_th)."""
     rho = codeword_correlation(config.blocklength)
     gamma = config.outage_threshold
     denom = 1.0 - (config.users - 1) * (config.users * rho + 1.0) * gamma
-    t_th = math.inf if denom <= 0.0 else config.noise_variance * gamma / denom
-    return OutageSpec(gamma_th=gamma, rho_bar=rho, t_th=t_th)
+    return math.inf if denom <= 0.0 else config.noise_variance * gamma / denom
 
 
 def outage_probability(config: SystemConfig, dist: GainDistribution) -> float:
     """P(SINR < gamma_th) = F_gain(t_th); 1 when the event is saturated."""
     _check_consistent(config, dist)
-    spec = outage_threshold(config)
-    if spec.saturated:
+    t_th = outage_threshold(config)
+    if math.isinf(t_th):
         return 1.0
-    return cdf_gfas(dist, spec.t_th)
+    return cdf_gfas(dist, t_th)
 
 
 def mrc_outage(branches, config: SystemConfig) -> float:
@@ -270,10 +255,10 @@ def mrc_outage(branches, config: SystemConfig) -> float:
     count of mean t_th / sigma^2 reaches L.
     """
     branches = _positive_int("branches", branches)
-    spec = outage_threshold(config)
-    if spec.saturated:
+    t_th = outage_threshold(config)
+    if math.isinf(t_th):
         return 1.0
-    _, outage = _poisson_tails(branches, spec.t_th / config.channel_variance)
+    _, outage = _poisson_tails(branches, t_th / config.channel_variance)
     return outage
 
 

@@ -20,7 +20,6 @@ from . import parallel
 from .channel import (
     SystemConfig,
     _channel_blocks,
-    _identity_factor,
     build_correlation,
     eigen_factor,
 )
@@ -58,8 +57,8 @@ def _factor_transpose(ports, width) -> np.ndarray:
     if not isinstance(ports, (int, np.integer)) or ports < 1:
         raise ValueError("ports must be a positive integer")
     if ports == 1:
-        return _identity_factor(1).factor.T
-    return eigen_factor(build_correlation(int(ports), width)).factor.T
+        return np.ones((1, 1))
+    return eigen_factor(build_correlation(int(ports), width)).T
 
 
 def _max_gains(index, size, factor_t, sigma2, seed) -> np.ndarray:
@@ -173,10 +172,10 @@ def empirical_outage_sweep(configs, samples, seed, workers=None) -> list:
     """
     samples = _checked_samples(samples)
     configs, channel = _shared_channel(configs)
-    specs = [outage_threshold(c) for c in configs]
-    grid = sorted({s.t_th for s in specs if not s.saturated})
+    thresholds = [outage_threshold(c) for c in configs]
+    grid = sorted({t for t in thresholds if not math.isinf(t)})
     at = {}
     if grid:
         at = dict(zip(grid, empirical_gain_cdf(*channel, grid, samples, seed, workers)))
     certain = McEstimate(value=1.0, standard_error=0.0, samples=samples, seed=int(seed))
-    return [certain if s.saturated else at[s.t_th] for s in specs]
+    return [certain if math.isinf(t) else at[t] for t in thresholds]

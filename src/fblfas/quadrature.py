@@ -30,38 +30,13 @@ from .errors import NumericError
 
 __all__ = [
     "QuadratureRule",
-    "JacobiTridiagonal",
     "gauss_laguerre",
     "gauss_legendre",
-    "tridiag_eigen",
     "integrate_adaptive",
     "AdaptiveResult",
 ]
 
 MAX_ORDER = 256
-
-
-@dataclass(frozen=True)
-class JacobiTridiagonal:
-    """Symmetric tridiagonal Jacobi matrix of an orthogonal polynomial family."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    @classmethod
-    def laguerre(cls, order: int) -> "JacobiTridiagonal":
-        """Jacobi matrix of the Laguerre family: alpha_n = 2n+1, beta_n = n^2.
-
-        The off-diagonal entries are sqrt(beta_n) = n.
-        """
-        n = np.arange(order, dtype=float)
-        return cls(diagonal=2.0 * n + 1.0, offdiagonal=n[1:].copy())
-
-    @classmethod
-    def legendre(cls, order: int) -> "JacobiTridiagonal":
-        """Jacobi matrix of the Legendre family: alpha_n = 0, beta_n = n^2/(4n^2-1)."""
-        n = np.arange(1, order, dtype=float)
-        return cls(diagonal=np.zeros(order), offdiagonal=n / np.sqrt(4.0 * n * n - 1.0))
 
 
 @dataclass(frozen=True)
@@ -77,30 +52,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def tridiag_eigen(diagonal, offdiagonal):
-    """Eigenvalues (ascending) and first eigenvector components of a
-    symmetric tridiagonal matrix.
-
-    Components are reported with non-negative sign; eigenvectors are unit
-    norm, so for Golub-Welsch the squared components are the weights up to
-    the zeroth moment.
-    """
-    d = np.asarray(diagonal, dtype=float)
-    e = np.asarray(offdiagonal, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("diagonal must be a nonempty 1-d sequence")
-    if e.shape != (d.size - 1,):
-        raise ValueError("offdiagonal must have length len(diagonal) - 1")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("tridiagonal entries must be finite")
-    jacobi = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    try:
-        vals, vecs = np.linalg.eigh(jacobi)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return vals, np.abs(vecs[0, :])
-
-
 def _checked_order(order) -> int:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError("order must be an integer")
@@ -109,30 +60,46 @@ def _checked_order(order) -> int:
     return int(order)
 
 
+def _golub_welsch(order, diagonal, offdiagonal, moment) -> QuadratureRule:
+    """Gauss rule of the symmetric tridiagonal Jacobi matrix with this diagonal
+    and off-diagonal, for a weight function of total mass moment.
+
+    Nodes are the eigenvalues (ascending) and weights moment * v0^2, v0 the
+    first components of the unit eigenvectors. NumericError is raised
+    unless the nodes strictly increase and the weights sum to moment
+    within 1e-12.
+    """
+    jacobi = np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+    try:
+        nodes, vecs = np.linalg.eigh(jacobi)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    weights = moment * vecs[0, :] ** 2
+    if not np.all(np.diff(nodes) > 0.0):
+        raise NumericError("Gauss nodes must strictly increase")
+    if not abs(float(weights.sum()) - moment) <= 1e-12:  # NaN fails too
+        raise NumericError(f"Gauss weights must sum to {moment:g} within 1e-12")
+    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+
+
 def gauss_laguerre(order: int) -> QuadratureRule:
     """Synthesize the Gauss-Laguerre rule of the given order (1..256)."""
     order = _checked_order(order)
-    jac = JacobiTridiagonal.laguerre(order)
-    nodes, first = tridiag_eigen(jac.diagonal, jac.offdiagonal)
-    weights = first**2  # zeroth moment of e^(-x) on [0, inf) is 1
-    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
-        raise NumericError("Laguerre nodes must be positive and strictly increasing")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise NumericError("Laguerre weights must sum to 1 within 1e-12")
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    n = np.arange(order, dtype=float)
+    rule = _golub_welsch(order, 2.0 * n + 1.0, n[1:], 1.0)
+    if not rule.nodes[0] > 0.0:
+        raise NumericError("Laguerre nodes must be positive")
+    return rule
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
     """Synthesize the Gauss-Legendre rule on [-1, 1] of the given order (1..256)."""
     order = _checked_order(order)
-    jac = JacobiTridiagonal.legendre(order)
-    nodes, first = tridiag_eigen(jac.diagonal, jac.offdiagonal)
-    weights = 2.0 * first**2  # zeroth moment of 1 on [-1, 1] is 2
-    if not (np.all(np.abs(nodes) < 1.0) and np.all(np.diff(nodes) > 0.0)):
-        raise NumericError("Legendre nodes must lie inside (-1, 1) and strictly increase")
-    if abs(float(weights.sum()) - 2.0) > 1e-12:
-        raise NumericError("Legendre weights must sum to 2 within 1e-12")
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    n = np.arange(1, order, dtype=float)
+    rule = _golub_welsch(order, np.zeros(order), n / np.sqrt(4.0 * n * n - 1.0), 2.0)
+    if not (rule.nodes[0] > -1.0 and rule.nodes[-1] < 1.0):
+        raise NumericError("Legendre nodes must lie inside (-1, 1)")
+    return rule
 
 
 def _call_on_nodes(f: Callable, x: np.ndarray) -> np.ndarray:

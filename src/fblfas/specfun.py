@@ -257,7 +257,10 @@ def marcum_q1(a, b):
 
     lo, hi = _poisson_window(w)
     k = np.arange(lo, hi + 1, dtype=float)
-    lgk = _log_factorial_table(hi + 1)[lo:]
+    # ln k! from the shared table, or, for a window past its limit, the
+    # table's own lgamma values computed for the window alone
+    lgk = (_log_factorial_table(hi + 1)[lo:] if hi < _WINDOW_TABLE_LIMIT
+           else np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), float, hi + 1 - lo))
     pmf_w = np.exp(k * math.log(w) - w - lgk)
     pmf_y = np.exp(k * math.log(y) - y - lgk)
     # P(N_y <= k) along the window, seeded at the lower edge.
@@ -306,6 +309,10 @@ def ncx2_cdf(x, lam):
 # the old table or a slice of it is never disturbed (thread-safe without a
 # lock).
 _log_factorials = np.empty(0)
+# marcum_q1 reads the table only for windows that end below this many
+# entries, so one far-out argument (a window of about 27,000 near k = 2e6
+# at a = 2000) does not grow it to millions of entries for good.
+_WINDOW_TABLE_LIMIT = 1 << 17
 
 
 def _log_factorial_table(count: int) -> np.ndarray:
@@ -325,22 +332,20 @@ def _log_factorial_table(count: int) -> np.ndarray:
 class Ncx2Family:
     """A fixed family of 2-dof noncentral chi-square laws evaluated jointly.
 
-    The gain-distribution quadrature needs F(x; lam_i) and its complement at
-    one shared abscissa for every quadrature node's noncentrality lam_i. The
-    Poisson mixture weights P(N_wi = k) depend only on the lam_i, so they are
-    built once here as a dense (len(lams), kmax+1) matrix, in one buffer,
-    with ln k! read from a shared table. Each abscissa then costs one Poisson
-    pmf row in k (kmax+1 exponentials) plus one matrix-vector product per
-    tail and one for the density. The family keeps its last row, so pdf(x)
+    The gain-distribution quadrature needs F(x; lam_i) at one shared
+    abscissa for every quadrature node's noncentrality lam_i. The Poisson
+    mixture weights P(N_wi = k) depend only on the lam_i, so they are built
+    once here as a dense (len(lams), kmax+1) matrix, in one buffer, with
+    ln k! read from a shared table. Each abscissa then costs one Poisson pmf
+    row in k (kmax+1 exponentials) plus one matrix-vector product for the
+    CDF and one for the density. The family keeps its last row, so pdf(x)
     right after tails(x), as the gain density asks for them, builds no
     second row.
 
-    Both tails come from cumulative sums taken in the direction that keeps
-    them sums of positive terms (forward for the lower Poisson CDF, reverse
-    for the upper), with the mass beyond the window supplied by
-    _poisson_tails. The lower tail of the chi-square law therefore keeps
-    relative accuracy at small x instead of degrading to 1 - (something
-    near 1).
+    The CDF mixes the upper Poisson tails P(N_y > k), a reverse cumulative
+    sum of positive terms with the mass beyond the window supplied by
+    _poisson_tails, so the chi-square CDF keeps relative accuracy at small
+    x instead of degrading to 1 - (something near 1).
     """
 
     def __init__(self, lams):
@@ -387,12 +392,11 @@ class Ncx2Family:
         return row
 
     def tails(self, x):
-        """Return (cdf, sf) arrays: F(x; lam_i) and 1 - F(x; lam_i) per law."""
+        """Return the array of F(x; lam_i), one CDF value per law."""
         x = float(x)
         if not math.isfinite(x) or x < 0.0:
             raise ValueError("tails requires finite x >= 0")
         pmf_y = self._pmf_y(x)
-        lower = np.minimum(np.cumsum(pmf_y), 1.0)  # P(N_y <= k), window part
         # P(N_y > k): the within-window sum over j > k, taken from the top
         # down, plus P(N_y > kmax)
         upper = np.empty_like(pmf_y)
@@ -400,9 +404,7 @@ class Ncx2Family:
         _, beyond = _poisson_tails(self._kmax + 1, 0.5 * x)
         upper[:-1] += beyond
         upper[-1] = beyond
-        sf = self._mix @ lower
-        cdf = self._mix @ upper
-        return np.clip(cdf, 0.0, 1.0), np.clip(sf, 0.0, 1.0)
+        return np.clip(self._mix @ upper, 0.0, 1.0)
 
     def pdf(self, x):
         """Densities f(x; lam_i) for every law in the family.

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
+from fblfas import channel
 from fblfas.channel import (
     BlockModel,
     SystemConfig,
@@ -49,10 +50,12 @@ class TestSystemConfig:
 class TestBuildCorrelation:
     def test_unit_diagonal_and_symmetry(self):
         corr = build_correlation(10, 0.5)
-        assert np.all(np.diag(corr.matrix) == 1.0)
-        assert np.array_equal(corr.matrix, corr.matrix.T)
+        matrix = linalg.toeplitz(corr.first_row)
+        assert np.array_equal(channel._toeplitz(corr.first_row), matrix)
+        assert np.all(np.diag(matrix) == 1.0)
+        assert np.array_equal(matrix, matrix.T)
         assert corr.first_row[0] == 1.0
-        assert float(np.trace(corr.matrix)) == pytest.approx(10.0)
+        assert float(np.trace(matrix)) == pytest.approx(10.0)
 
     def test_sinc_zeros(self):
         # lag n has argument 2 pi n W / (N-1); at N=2, W=0.5 the single
@@ -86,32 +89,35 @@ class TestEigenFactor:
     @pytest.mark.parametrize("ports,width", [(10, 0.5), (50, 1.0), (200, 2.0)])
     def test_reconstruction(self, ports, width):
         corr = build_correlation(ports, width)
-        fac = eigen_factor(corr)
-        approx = (fac.eigenvectors * fac.eigenvalues[None, :]) @ fac.eigenvectors.T
-        err = float(np.linalg.norm(approx - corr.matrix))
+        factor = eigen_factor(corr)
+        err = float(np.linalg.norm(factor @ factor.T - linalg.toeplitz(corr.first_row)))
         assert err <= 1e-8 * ports
 
     def test_factor_squares_to_matrix(self):
         corr = build_correlation(20, 1.0)
-        fac = eigen_factor(corr)
-        np.testing.assert_allclose(fac.factor @ fac.factor.T, corr.matrix, atol=1e-10)
+        factor = eigen_factor(corr)
+        np.testing.assert_allclose(factor @ factor.T, linalg.toeplitz(corr.first_row), atol=1e-10)
 
     def test_factor_keeps_only_unclipped_columns(self):
         # the sinc kernel at W = 0.5 has 7 eigenvalues above the clip, so
         # draws need 7 complex Gaussians per sample, not 200
         corr = build_correlation(200, 0.5)
-        factor = eigen_factor(corr).factor
+        factor = eigen_factor(corr)
         assert factor.shape == (200, 7)
-        np.testing.assert_allclose(factor @ factor.T, corr.matrix, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(factor @ factor.T, linalg.toeplitz(corr.first_row),
+                                   rtol=0, atol=1e-10)
 
     def test_eigenvalues_sorted_and_clipped(self):
-        fac = eigen_factor(build_correlation(50, 0.5))
-        assert np.all(np.diff(fac.eigenvalues) <= 0.0)
-        assert np.all(fac.eigenvalues >= 0.0)
+        # column k carries eigenvalue k as its squared norm: descending,
+        # positive, and summing to the trace N
+        factor = eigen_factor(build_correlation(50, 0.5))
+        norms = np.sum(factor * factor, axis=0)
+        assert np.all(np.diff(norms) <= 1e-12)
+        assert np.all(norms >= 1e-12 * norms[0])
         # the sinc kernel is numerically rank deficient: most of the
-        # spectrum must have been clipped to exactly zero
-        assert np.sum(fac.eigenvalues == 0.0) > 25
-        assert float(fac.eigenvalues.sum()) == pytest.approx(50.0, rel=1e-6)
+        # spectrum must have been clipped away
+        assert factor.shape[1] < 25
+        assert float(norms.sum()) == pytest.approx(50.0, rel=1e-6)
 
 
 class TestSampleChannels:
@@ -138,7 +144,7 @@ class TestSampleChannels:
         fac = eigen_factor(corr)
         g = sample_channels(fac, 2.0, 200_000, seed=9)
         cov = (g.conj().T @ g).real / g.shape[0]
-        np.testing.assert_allclose(cov, 2.0 * corr.matrix, atol=0.04)
+        np.testing.assert_allclose(cov, 2.0 * linalg.toeplitz(corr.first_row), atol=0.04)
 
     def test_deterministic_across_workers(self):
         fac = eigen_factor(build_correlation(10, 0.5))
@@ -177,7 +183,7 @@ class TestFitBlockModel:
         row = np.zeros(6)
         row[0] = 1.0
         exact = ToeplitzCorrelation(size=6, first_row=row)
-        assert np.array_equal(exact.matrix, np.eye(6))
+        assert np.array_equal(linalg.toeplitz(exact.first_row), np.eye(6))
         model = fit_block_model(exact, 0.5)
         assert model.block_count == 6
         assert model.block_sizes == (1,) * 6
@@ -186,7 +192,7 @@ class TestFitBlockModel:
         # W = (N-1)/2 puts every lag on a sinc zero; round-off leaves the
         # eigenvalues within an ulp of 1 and the fit must still see N blocks
         corr = build_correlation(6, 2.5)
-        np.testing.assert_allclose(corr.matrix, np.eye(6), atol=1e-14)
+        np.testing.assert_allclose(linalg.toeplitz(corr.first_row), np.eye(6), atol=1e-14)
         model = fit_block_model(corr, 0.5)
         assert model.block_count == 6
         assert model.block_sizes == (1,) * 6
@@ -218,17 +224,19 @@ class TestFitBlockModel:
         for n, w in self.ORACLE_GRID:
             corr = build_correlation(n, w)
             model = fit_block_model(corr, 0.97)
-            assert "matrix" not in corr.__dict__
-            vals = np.linalg.eigvalsh(corr.matrix)[::-1]
+            vals = np.linalg.eigvalsh(linalg.toeplitz(corr.first_row))[::-1]
             threshold = max(1e-2 * vals[0], vals.sum() / n)
             b = int(np.sum(vals >= threshold * (1.0 - 1e-9)))
             assert model.block_count == b, (n, w)
             assert model.block_sizes == (n - b + 1,) + (1,) * (b - 1), (n, w)
 
-    def test_large_fit_never_builds_the_matrix(self):
+    def test_large_fit_never_builds_the_matrix(self, monkeypatch):
+        def refuse(row):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(channel, "_toeplitz", refuse)
         corr = build_correlation(100_000, 1.0)
         model = fit_block_model(corr, 0.97)
-        assert "matrix" not in corr.__dict__
         # the 2W+1 = 3 dominant modes and a fourth above 1e-2 of the largest
         assert model.block_count == 4
         assert model.ports == 100_000
@@ -255,7 +263,6 @@ class TestSerialization:
         back = load_correlation(path)
         assert back.size == corr.size
         assert np.array_equal(back.first_row, corr.first_row)
-        assert np.array_equal(back.matrix, corr.matrix)
 
     def test_block_model_round_trip(self, tmp_path):
         model = fit_block_model(build_correlation(50, 1.0), 0.97)
@@ -273,19 +280,37 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_correlation(path)
 
-    def test_stored_matrix_must_match_first_row(self, tmp_path):
-        # files that still carry a `matrix:` block load only when it is the
-        # Toeplitz matrix of the first row
+    def test_legacy_matrix_block_rejected(self, tmp_path):
+        # a `matrix:` block of the former layout is a line without `=`
         corr = build_correlation(4, 0.5)
         path = tmp_path / "corr.txt"
         save_correlation(corr, path)
-        header = path.read_text()
-        rows = [",".join(repr(float(v)) for v in r) for r in corr.matrix]
-        path.write_text(header + "matrix:\n" + "\n".join(rows) + "\n")
-        assert np.array_equal(load_correlation(path).matrix, corr.matrix)
-        for bad in (rows[:-1],  # a row short
-                    rows[:-1] + [rows[-1].rpartition(",")[0]],  # a value short
-                    rows[:-1] + ["0.5," + rows[-1].partition(",")[2]]):  # a wrong value
-            path.write_text(header + "matrix:\n" + "\n".join(bad) + "\n")
-            with pytest.raises(ValueError):
-                load_correlation(path)
+        rows = [",".join(repr(float(v)) for v in r) for r in linalg.toeplitz(corr.first_row)]
+        path.write_text(path.read_text() + "matrix:\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="expected key=value"):
+            load_correlation(path)
+
+    @pytest.mark.parametrize("kind", ["correlation", "block_model"])
+    def test_loaders_reject_malformed_files(self, tmp_path, kind):
+        path = tmp_path / "saved.txt"
+        if kind == "correlation":
+            save_correlation(build_correlation(4, 0.5), path)
+            load = load_correlation
+        else:
+            save_block_model(fit_block_model(build_correlation(50, 1.0), 0.97), path)
+            load = load_block_model
+        lines = path.read_text().splitlines()
+        assert load(path) is not None
+        # blank lines are skipped
+        path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+        load(path)
+        cases = {
+            "expected key=value": lines + ["junk"],
+            "unknown key: 'colour=blue'": lines + ["colour=blue"],
+            "repeated key": lines + [lines[0]],
+            "missing key": lines[1:],
+        }
+        for message, bad in cases.items():
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError, match=message):
+                load(path)

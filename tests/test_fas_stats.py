@@ -123,13 +123,13 @@ class TestBlockFactor:
 
     def test_block_factor_families_keep_the_former_kernel_bits(self):
         # the former kernel, written out: a fresh temporary per operation for
-        # the table and the pmf row, both tails from whole cumulative sums and
-        # a second row for the density, reading ln k! from the shared table
-        # and the mass beyond the window from _poisson_tails as the family
-        # does. On the families the block factors build at mu2 = 0.97 (the
-        # split rule's, with kmax from about 40 to about 1,300, and the
-        # Laguerre nodes', reused across abscissas) the family's tails and
-        # its density, read from the row tails kept, equal it bit for bit.
+        # the table and the pmf row, the CDF from a whole reverse cumulative
+        # sum and a second row for the density, reading ln k! from the shared
+        # table and the mass beyond the window from _poisson_tails as the
+        # family does. On the families the block factors build at mu2 = 0.97
+        # (the split rule's, with kmax from about 40 to about 1,300, and the
+        # Laguerre nodes', reused across abscissas) the family's CDF and its
+        # density, read from the row tails kept, equal it bit for bit.
         def former(lams, x):
             means = 0.5 * lams
             k = np.arange(_poisson_window(float(means.max()))[1] + 1, dtype=float)
@@ -143,9 +143,7 @@ class TestBlockFactor:
             upper = np.empty_like(pmf)
             upper[:-1] = rev[1:] + beyond
             upper[-1] = beyond
-            lower = np.minimum(np.cumsum(pmf), 1.0)
-            return (np.clip(mix @ upper, 0.0, 1.0), np.clip(mix @ lower, 0.0, 1.0),
-                    0.5 * (mix @ pmf))
+            return np.clip(mix @ upper, 0.0, 1.0), 0.5 * (mix @ pmf)
 
         lam_rate = 2.0 * 0.97 / 0.03
         laguerre = Ncx2Family(lam_rate * gauss_laguerre(32).nodes)
@@ -155,9 +153,8 @@ class TestBlockFactor:
                 _, lams, _ = fas_stats._latent_split(float(x), lam_rate, size, 32)
                 cases.append((float(x), Ncx2Family(lams)))
         for x, family in cases:
-            cdf, sf, pdf = former(family.lams, x)
-            got_cdf, got_sf = family.tails(x)
-            assert np.array_equal(got_cdf, cdf) and np.array_equal(got_sf, sf), x
+            cdf, pdf = former(family.lams, x)
+            assert np.array_equal(family.tails(x), cdf), x
             assert np.array_equal(family.pdf(x), pdf), (x, family._kmax)
         kmaxes = [family._kmax for _, family in cases[3:]]
         assert min(kmaxes) <= 40 and max(kmaxes) > 1200

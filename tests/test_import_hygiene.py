@@ -2,7 +2,8 @@
 
 scipy is a test oracle only: importing fblfas and running every CLI
 subcommand must not load any scipy module. The check runs in a fresh
-interpreter, since this test process imports scipy for its oracles.
+interpreter, since this test process imports scipy for its oracles. A
+second fresh interpreter checks that every exported name resolves.
 """
 import json
 import os
@@ -38,13 +39,36 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def test_library_and_every_subcommand_run_without_scipy():
-    assert len({argv[0] for argv in CALLS}) == 8
+def _fresh_python(*args):
     src = str(Path(fblfas.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(CALLS)], env=env,
+    return subprocess.run([sys.executable, "-c", *args], env=env,
                           capture_output=True, text=True, timeout=300, check=False)
+
+
+def test_library_and_every_subcommand_run_without_scipy():
+    assert len({argv[0] for argv in CALLS}) == 8
+    proc = _fresh_python(SCRIPT, json.dumps(CALLS))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == []
+
+
+# A stale export passes `import fblfas` but fails the star import.
+EXPORTS = """
+import importlib
+names = {}
+for module in ("fblfas", "fblfas.specfun", "fblfas.quadrature", "fblfas.channel"):
+    exported = importlib.import_module(module).__all__
+    assert len(set(exported)) == len(exported), module
+    exec(f"from {module} import *", names)
+    missing = [n for n in exported if n not in names]
+    assert not missing, (module, missing)
+"""
+
+
+def test_every_exported_name_resolves():
+    proc = _fresh_python(EXPORTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

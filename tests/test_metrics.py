@@ -289,25 +289,26 @@ class TestOutage:
 
     def test_threshold_single_user(self):
         cfg = single_port_config(noise_variance=3.0, outage_threshold=0.25)
-        spec = outage_threshold(cfg)
-        assert spec.t_th == pytest.approx(0.75, rel=1e-14)
-        assert not spec.saturated
+        t_th = outage_threshold(cfg)
+        assert t_th == pytest.approx(0.75, rel=1e-14)
+        assert math.isfinite(t_th)
 
     def test_threshold_with_interference(self):
         cfg = SystemConfig(ports=1, antenna_length=0.5, users=20, blocklength=5,
                            channel_variance=2.0, noise_variance=1.0,
                            outage_threshold=1e-3)
-        spec = outage_threshold(cfg)
-        assert spec.rho_bar == pytest.approx(0.396332729760601101, rel=1e-13)
-        assert spec.t_th == pytest.approx(0.00120424825640435141, rel=1e-12)
+        # rho = codeword_correlation(5) enters through U rho + 1
+        rho = codeword_correlation(5)
+        assert rho == pytest.approx(0.396332729760601101, rel=1e-13)
+        assert outage_threshold(cfg) == pytest.approx(0.00120424825640435141, rel=1e-12)
+        assert outage_threshold(cfg) == 1e-3 / (1.0 - 19 * (20 * rho + 1.0) * 1e-3)
 
     def test_saturation(self):
         # interference denominator goes non-positive: outage is certain
         cfg = SystemConfig(ports=1, antenna_length=0.5, users=20, blocklength=5,
                            channel_variance=2.0, noise_variance=1.0,
                            outage_threshold=0.1)
-        spec = outage_threshold(cfg)
-        assert spec.saturated
+        assert outage_threshold(cfg) == math.inf
         assert mrc_outage(1, cfg) == 1.0
         assert outage_probability(cfg, single_port_distribution()) == 1.0
 
@@ -329,9 +330,8 @@ class TestOutage:
         cfg = SystemConfig(ports=10, antenna_length=0.5, users=4, blocklength=5,
                            channel_variance=2.0, noise_variance=2.0,
                            outage_threshold=0.05)
-        spec = outage_threshold(cfg)
         assert outage_probability(cfg, dist) == pytest.approx(
-            cdf_gfas(dist, spec.t_th), rel=1e-13)
+            cdf_gfas(dist, outage_threshold(cfg)), rel=1e-13)
 
     def test_validation(self):
         cfg = single_port_config()
@@ -620,7 +620,7 @@ class TestSelectionGainRegimes:
         outage = outage_probability(cfg, dense_distribution)
         ratio = mrc_outage(1, cfg) / outage
         assert 9e7 <= ratio <= 1e8
-        t_ref = 2.0 * outage_threshold(cfg).t_th / cfg.channel_variance
+        t_ref = 2.0 * outage_threshold(cfg) / cfg.channel_variance
         oracle = 1.0
         for size in dense_distribution.model.block_sizes:
             guess = block_cdf_factor(0.97, size, t_ref)

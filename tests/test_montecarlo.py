@@ -129,7 +129,7 @@ class TestEmpiricalOutage:
         cfg = SystemConfig(ports=1, antenna_length=0.5, users=1, blocklength=5,
                            channel_variance=2.0, noise_variance=2.0,
                            outage_threshold=0.5)
-        assert outage_threshold(cfg).t_th == pytest.approx(1.0)
+        assert outage_threshold(cfg) == pytest.approx(1.0)
         est = empirical_outage(cfg, samples=50_000, seed=31)
         want = 1.0 - math.exp(-0.5)
         assert abs(est.value - want) < 3.0 * est.standard_error
@@ -157,7 +157,7 @@ class TestEmpiricalOutage:
         model = fit_block_model(build_correlation(10, 0.5), 0.97)
         dist = GainDistribution(model=model, channel_variance=2.0,
                                 rule=gauss_laguerre(32))
-        analytic = cdf_gfas(dist, outage_threshold(cfg).t_th)
+        analytic = cdf_gfas(dist, outage_threshold(cfg))
         est = empirical_outage(cfg, samples=100_000, seed=17)
         assert abs(est.value - analytic) < 3.0 * est.standard_error + 0.03
 
@@ -184,7 +184,9 @@ class TestSamplingPath:
 
     def test_factor_transpose_is_the_eigen_factor(self):
         np.testing.assert_array_equal(_factor_transpose(30, 0.7),
-                                      eigen_factor(build_correlation(30, 0.7)).factor.T)
+                                      eigen_factor(build_correlation(30, 0.7)).T)
+        # a single port is its own unit-variance mode
+        np.testing.assert_array_equal(_factor_transpose(1, 0.7), np.ones((1, 1)))
 
     def test_outage_memory_stays_bounded(self):
         # 65,536 draws at N = 1000 are 1 GiB as one complex channel array;
@@ -213,7 +215,7 @@ class TestEmpiricalOutageSweep:
         # U = 20 is saturated, U = 3 appears twice (one threshold for two
         # points), and 70,000 draws end in a ragged chunk
         configs = self.configs((3, 20, 2, 3))
-        assert outage_threshold(configs[1]).saturated
+        assert outage_threshold(configs[1]) == math.inf
         got = empirical_outage_sweep(configs, samples=70_000, seed=4)
         assert got == [empirical_outage(c, samples=70_000, seed=4) for c in configs]
         assert got[1] == McEstimate(value=1.0, standard_error=0.0, samples=70_000, seed=4)

@@ -14,11 +14,10 @@ import pytest
 from fblfas.errors import NumericError
 from fblfas.quadrature import (
     MAX_ORDER,
-    JacobiTridiagonal,
+    _golub_welsch,
     gauss_laguerre,
     gauss_legendre,
     integrate_adaptive,
-    tridiag_eigen,
 )
 
 
@@ -84,37 +83,39 @@ class TestGaussLaguerre:
             gauss_laguerre(2.5)
 
     def test_jacobi_matrix_recurrence(self):
-        jac = JacobiTridiagonal.laguerre(4)
-        np.testing.assert_allclose(jac.diagonal, [1.0, 3.0, 5.0, 7.0])
-        np.testing.assert_allclose(jac.offdiagonal, [1.0, 2.0, 3.0])
+        # the nodes are the eigenvalues of the Laguerre Jacobi matrix,
+        # alpha_n = 2n + 1 on the diagonal and sqrt(beta_n) = n off it
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        want = eigvalsh_tridiagonal([1.0, 3.0, 5.0, 7.0], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(gauss_laguerre(4).nodes, want, rtol=1e-13)
 
 
-class TestTridiagEigen:
-    def test_matches_dense_solver(self):
-        # tridiag_eigen runs numpy's dense eigh, so the reference is scipy's
+class TestGolubWelsch:
+    def test_matches_scipy_tridiagonal_solver(self):
+        # the helper runs numpy's dense eigh, so the reference is scipy's
         # tridiagonal solver (LAPACK stemr), a different algorithm
         from scipy.linalg import eigh_tridiagonal
 
         rng = np.random.default_rng(3)
         d = rng.normal(size=12)
         e = rng.normal(size=11)
-        vals, first = tridiag_eigen(d, e)
+        rule = _golub_welsch(12, d, e, 3.0)
         want_vals, want_vecs = eigh_tridiagonal(d, e)
-        np.testing.assert_allclose(vals, want_vals, atol=1e-12)
-        # the first components come from rows of an orthogonal matrix:
-        # non-negative by convention, squares summing to 1
-        assert first.shape == (12,)
-        assert np.all(first >= 0.0)
-        assert float(np.sum(first**2)) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(first, np.abs(want_vecs[0, :]), atol=1e-10)
+        assert rule.order == 12
+        np.testing.assert_allclose(rule.nodes, want_vals, atol=1e-12)
+        # weights are the moment times the squared first components of the
+        # unit eigenvectors, so they sum to the moment
+        assert float(np.sum(rule.weights)) == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(rule.weights, 3.0 * want_vecs[0, :] ** 2, atol=1e-10)
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            tridiag_eigen([], [])
-        with pytest.raises(ValueError):
-            tridiag_eigen([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            tridiag_eigen([1.0, np.nan], [1.0])
+    def test_checks_node_order_and_weight_sum(self):
+        # a repeated eigenvalue gives nodes that do not strictly increase
+        with pytest.raises(NumericError, match="strictly increase"):
+            _golub_welsch(2, np.array([1.0, 1.0]), np.array([0.0]), 1.0)
+        # weights that are not finite fail the weight-sum check
+        with pytest.raises(NumericError, match="sum to nan"):
+            _golub_welsch(2, np.array([1.0, 3.0]), np.array([1.0]), math.nan)
 
 
 class TestGaussLegendre:
@@ -135,9 +136,13 @@ class TestGaussLegendre:
                 assert got == pytest.approx(want, abs=1e-13), (order, degree)
 
     def test_jacobi_matrix_recurrence(self):
-        jac = JacobiTridiagonal.legendre(3)
-        np.testing.assert_array_equal(jac.diagonal, [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(jac.offdiagonal, [1.0 / math.sqrt(3.0), 2.0 / math.sqrt(15.0)])
+        # the nodes are the eigenvalues of the Legendre Jacobi matrix,
+        # alpha_n = 0 and sqrt(beta_n) = n / sqrt(4n^2 - 1)
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        want = eigvalsh_tridiagonal([0.0, 0.0, 0.0],
+                                    [1.0 / math.sqrt(3.0), 2.0 / math.sqrt(15.0)])
+        np.testing.assert_allclose(gauss_legendre(3).nodes, want, atol=1e-15)
 
     def test_rejects_bad_order(self):
         for bad in (0, MAX_ORDER + 1, 2.5, True):
