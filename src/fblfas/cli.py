@@ -486,7 +486,10 @@ def _read_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            entries[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: repeated key '{key}'")
+            entries[key] = value.strip()
     return entries
 
 

@@ -58,7 +58,8 @@ class GainDistribution:
     cdf_gfas, pdf_gfas and quantile return for it, keyed by the float
     argument. The error-bound points of a curve average over one
     distribution on one grid of panels, so they share one density per node
-    and one CDF per panel edge. Values are pure functions of (instance,
+    and one CDF per panel edge; each point adds only the panel cut at its
+    own kink and the CDF there. Values are pure functions of (instance,
     argument): a hit returns the bits a fresh evaluation would, and threads
     that miss together only compute the same value twice. Each memo stops
     growing at _MEMO_ENTRIES values and lives as long as the instance, so
@@ -105,10 +106,11 @@ class GainDistribution:
 
 
 # Most values each memo of a GainDistribution keeps (1.4 MB when full).
-# Every default bler-vs-* curve evaluates at most 401 abscissas per
-# distribution; one error-bound point at large blocklength and high SNR can
-# evaluate thousands (484 panels of 24 nodes for one port at M = 1000 and
-# 60 dB).
+# Every default bler-vs-* curve evaluates at most 792 densities per
+# distribution (bler-vs-u, 20 points of which each cuts one panel of 24
+# nodes); one error-bound point at large blocklength and high SNR can
+# evaluate thousands (512 panels of 24 nodes for one port at U = 1,
+# M = 1000 and 60 dB).
 _MEMO_ENTRIES = 1 << 14
 
 

@@ -7,19 +7,20 @@ threshold t_th. Both come with conventional L-antenna maximum ratio
 combining counterparts used as benchmarks: under Rayleigh fading the MRC
 combined gain is Gamma(L, sigma^2) (Simon and Alouini, Digital
 Communication over Fading Channels, 2005), which gives the outage in closed
-form and the average bounded BLER as an incomplete gamma head plus a
-Gauss-Legendre tail. L is an integer, so P(G <= t) = P(N >= L) for a
-Poisson count N of mean t / sigma^2, and specfun._poisson_tails gives both
-tails; no inverse of them is needed. Its seeded Monte Carlo estimate stays
-as a test oracle.
+form. L is an integer, so P(G <= t) = P(N >= L) for a Poisson count N of
+mean t / sigma^2, and specfun._poisson_tails gives both tails; no inverse
+of them is needed. The seeded Monte Carlo estimate of the MRC average
+stays as a test oracle.
 
-Both averages over a gain distribution are fixed-order Gauss-Legendre sums
-with every cut bounded relative to the average; the adaptive integrator of
-the quadrature module is only their test oracle.
-
-The bound itself can exceed 1 at low gain. Probability-typed results are
-clamped to [0, 1]; the raw value stays available through the *_raw variant
-for tightness studies.
+The bound h itself can exceed 1 at low gain. Every error rate here, the
+FAS and MRC averages and the Monte Carlo estimates alike, is E[min(h(G), 1)]:
+BLER <= 1 holds at every gain, so clamping before averaging is the tighter
+valid bound. Both analytic averages run one routine, _clamped_average, a
+closed-form head below the gain where h falls to 1 plus fixed-order
+Gauss-Legendre panels above it, with every cut bounded relative to the
+average; the adaptive integrator of the quadrature module is only its test
+oracle. The raw bound stays available through conditional_bler_raw for
+tightness studies.
 """
 
 from __future__ import annotations
@@ -31,29 +32,20 @@ import numpy as np
 
 from . import parallel
 from .channel import SystemConfig
-from .errors import NumericError
 from .fas_stats import GainDistribution, _panel_rule, cdf_gfas, pdf_gfas
 from .specfun import _poisson_tails
 
-# statistical_bler lets the mass above its top edge, and its head cut, drop
-# at most these fractions of the average, and adds at most _MAX_PANELS.
-_TAIL_MASS = 1e-10
-_HEAD_SLACK = 1e-12
-_MAX_PANELS = 4096
-# mrc_statistical_bler lets each of its two cuts, the head and the far tail,
-# err by this fraction of the average.
-_MRC_SLACK = 1e-13
-# Gauss-Legendre nodes per panel of both averaging rules. Against 128 nodes,
+# Each cut of _clamped_average (the head, the top edge and the early stop)
+# errs by at most this fraction of the average.
+_SLACK = 1e-13
+# Gauss-Legendre nodes per panel of _clamped_average. Against 128 nodes,
 # at L = 1-8, U up to 30 and 0-50 dB, MRC panels of 16 nodes erred by up to
 # 8e-11 at blocklengths 20 to 500 and of 24 by 5e-15. Against its own form
-# with 40 nodes on panels four times narrower, statistical_bler erred by at
-# most 5.2e-11 (about half the tail cut) over 137 points (N 5-5000, mu2
-# 0.1-0.99, 0-40 dB, M 5 and 100, U 1-20), and by up to 1.0e-4 with panels
-# one e-fold wide (M = 100, N = 5000, mu2 = 0.1, 36 dB).
+# with 40 nodes on panels four times narrower, the FAS average erred by at
+# most 5.2e-11 over 137 points (N 5-5000, mu2 0.1-0.99, 0-40 dB, M 5 and
+# 100, U 1-20), and by up to 1.0e-4 with panels one e-fold wide (M = 100,
+# N = 5000, mu2 = 0.1, 36 dB).
 _PANEL_ORDER = 24
-# A panel spans at most this many standard deviations of the log gain, about
-# 1 / sqrt(L), so the Gamma(L) bulk stays resolved at large L.
-_MRC_PANEL_SPREAD = 8.0
 
 
 def _positive_int(name, value):
@@ -174,49 +166,81 @@ def _check_consistent(config: SystemConfig, dist: GainDistribution):
         )
 
 
-def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
-    """Average of the raw union bound over the gain distribution, in [0, 1].
+def _clamped_average(config: SystemConfig, variance, cdf, density, per_efold) -> float:
+    """E[min(h(G), 1)] of the union bound h over a gain law G of scale sigma^2.
 
-    Returns min(E[h(G)], 1), E[h(G)] summed as h(t) f(t) t by one fixed
-    Gauss-Legendre rule in u = ln t: _PANEL_ORDER nodes on each panel of the
-    grid of edges sigma^2 e^(j/m), m = ceil(sqrt(M) / 3). The grid depends
-    only on sigma^2 and M, so the points of a curve read their densities at
-    the same nodes, through the distribution's memo. The top edge is the
-    first grid point where F reaches 1 - _TAIL_MASS; h decreases in the
-    gain, so the mass dropped above it is at most that share of the average.
-    Panels are added downward until h(0) F(edge) is at most _HEAD_SLACK of
-    the sum, which bounds the mass dropped below the edge, or until the sum
-    reaches 1, which every further panel would only raise. NumericError is
-    raised if neither happens within _MAX_PANELS panels.
+    cdf(t) is P(G <= t); density(t) is the density on an array of t. h falls
+    in the gain, so below the kink s where it falls to 1 - _SLACK (bisected
+    geometrically to a relative width of 1e-12; it depends only on U, M and
+    the two variances) min(h, 1) lies in [1 - _SLACK, 1] and that part of
+    the average is taken as the head F(s). Above s, h f t is summed in
+    u = ln t by _PANEL_ORDER-node Gauss-Legendre panels of the fixed grid
+    of edges sigma^2 e^(j/m), m the larger of ceil(sqrt(M) / 3) and
+    per_efold, the law's own need. The grid depends only on sigma^2 and m,
+    so the points of a curve share their nodes and edges; only the panel
+    that holds s, cut there, is a point's own.
+
+    Panels run down from the top edge, the first where F reaches 1 - _SLACK
+    (every F is at most the single-port 1 - exp(-t / sigma^2), so the search
+    starts where that does). h is at most h(top) above it and min(h, 1) at
+    least h(top) below it, so the mass dropped above is at most _SLACK /
+    (1 - _SLACK) of the average. They stop at s, or once F(edge) is at most
+    _SLACK of the sum, since min(h, 1) <= 1 bounds all that lies below the
+    edge, head included. The loop thus never runs past the panels between
+    s and the top edge.
     """
-    _check_consistent(config, dist)
     active, bound = _union_bound(config.users, config.blocklength)
     coef = 0.5 * config.codeword_variance / config.noise_variance * active
-    per_efold = math.ceil(math.sqrt(config.blocklength) / 3.0)
-    variance = dist.channel_variance
+    target = 1.0 - _SLACK
 
-    def edge(j):
-        return variance * math.exp(j / per_efold)
+    def above(t):
+        return float(bound(coef * t)) > target
 
-    # F(t) <= 1 - exp(-t / sigma^2), the single-port marginal, so no grid
-    # point below this one reaches 1 - _TAIL_MASS
-    top = math.ceil(per_efold * math.log(-math.log(_TAIL_MASS)))
-    while cdf_gfas(dist, edge(top)) < 1.0 - _TAIL_MASS:
+    hi = 1.0 / coef[-1]
+    while above(hi):
+        hi *= 2.0
+    lo = 0.5 * hi
+    while not above(lo):
+        lo, hi = 0.5 * lo, lo
+    while hi > lo * (1.0 + 1e-12):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    kink = hi
+
+    per_efold = max(math.ceil(math.sqrt(config.blocklength) / 3.0), per_efold)
+    top = math.ceil(per_efold * math.log(-math.log(_SLACK)))
+    while cdf(variance * math.exp(top / per_efold)) < target:
         top += 1
     rule = _panel_rule(_PANEL_ORDER)
     offsets = 0.5 + 0.5 * rule.nodes
     weights = (0.5 / per_efold) * rule.weights
-    ceiling = float(bound(0.0 * coef))
+
+    def panel(low, high):
+        # the sum over [low, high], in grid units of u, 1 / per_efold each
+        t = variance * np.exp((low + (high - low) * offsets) / per_efold)
+        return (high - low) * float(np.dot(weights, bound(t[:, None] * coef) * density(t) * t))
+
+    cut = per_efold * math.log(kink / variance)
     total = 0.0
-    for j in range(top - 1, top - 1 - _MAX_PANELS, -1):
-        t = variance * np.exp((j + offsets) / per_efold)
-        density = np.array([pdf_gfas(dist, x) for x in t])
-        total += float(np.dot(weights, bound(t[:, None] * coef) * density * t))
-        if total >= 1.0:
-            return 1.0
-        if ceiling * cdf_gfas(dist, edge(j)) <= _HEAD_SLACK * total:
+    for j in range(top - 1, math.floor(cut), -1):
+        total += panel(j, j + 1)
+        if cdf(variance * math.exp(j / per_efold)) <= _SLACK * total:
             return total
-    raise NumericError(f"statistical BLER head cut not reached in {_MAX_PANELS} panels")
+    if cut < top:
+        total += panel(cut, math.floor(cut) + 1)
+    return min(total + cdf(kink), 1.0)
+
+
+def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
+    """Average clamped union bound E[min(h(G), 1)] over the FAS gain distribution.
+
+    Summed by _clamped_average from cdf_gfas and pdf_gfas of dist, whose
+    memo the points of a curve share: they read one grid of panels and
+    differ only in the panel cut at their own kink.
+    """
+    _check_consistent(config, dist)
+    return _clamped_average(config, dist.channel_variance, lambda t: cdf_gfas(dist, t),
+                            lambda t: np.array([pdf_gfas(dist, x) for x in t]), 1)
 
 
 def codeword_correlation(blocklength) -> float:
@@ -265,59 +289,27 @@ def mrc_outage(branches, config: SystemConfig) -> float:
 def mrc_statistical_bler(branches, config: SystemConfig) -> float:
     """Average clamped union bound E[min(h(G), 1)] of an L-branch MRC receiver.
 
-    The combined gain G is Gamma(L, sigma^2) and the raw bound h decreases
-    in it. Below the gain s where h falls to 1 - eps (eps = _MRC_SLACK, s
-    bisected geometrically to a relative width of 1e-12), min(h, 1) lies in
-    [1 - eps, 1], so that part of the average is taken as the regularized
-    incomplete gamma P(L, s / sigma^2), at most eps / (1 - eps) of the
-    average too high. Above s, h times the Gamma density is summed by
-    Gauss-Legendre panels one e-fold of the gain wide (narrower past L = 64),
-    up to the first panel edge u with P(G > u) <= eps. On [0, u]
-    min(h, 1) >= h(u), so the part past u is at most eps / (1 - eps) of the
-    average; any such u does, so no inverse of the incomplete gamma is
-    needed. Both tails of G at an edge are those of a Poisson count
-    (specfun._poisson_tails). With U = 1, where h(0) = 1, s is still
-    positive, so the panels start above 0.
+    The combined gain G is Gamma(L, sigma^2): _clamped_average sums it from
+    the Poisson-tail CDF (specfun._poisson_tails, so no inverse of the
+    incomplete gamma is needed) and the Gamma density, on panels at most
+    8 / sqrt(L) of an e-fold wide, so the Gamma bulk stays resolved at
+    large L.
 
     It draws nothing; mrc_conditional_bler, the seeded Monte Carlo of the
     same average, is its test oracle.
     """
     branches = _positive_int("branches", branches)
-    active, bound = _union_bound(config.users, config.blocklength)
-    coef = 0.5 * config.codeword_variance / config.noise_variance * active
     variance = config.channel_variance
-    target = 1.0 - _MRC_SLACK
+    scale = branches * math.log(variance) + math.lgamma(branches)
 
-    def above(t):
-        return float(bound(coef * t)) > target
+    def cdf(t):
+        return _poisson_tails(branches, t / variance)[1]
 
-    hi = 1.0 / coef[-1]
-    while above(hi):
-        hi *= 2.0
-    lo = 0.5 * hi
-    while not above(lo):
-        lo, hi = 0.5 * lo, lo
-    while hi > lo * (1.0 + 1e-12):
-        mid = math.sqrt(lo * hi)
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    def density(t):
+        return np.exp((branches - 1) * np.log(t) - t / variance - scale)
 
-    beyond, head = _poisson_tails(branches, hi / variance)
-    if beyond <= _MRC_SLACK:
-        return min(head, 1.0)
-    width = min(1.0, _MRC_PANEL_SPREAD / math.sqrt(branches))
-    edges = [hi]
-    while beyond > _MRC_SLACK:
-        edges.append(hi * math.exp(width * len(edges)))
-        beyond, _ = _poisson_tails(branches, edges[-1] / variance)
-    edges = np.array(edges)
-    rule = _panel_rule(_PANEL_ORDER)
-    half = 0.5 * np.diff(edges)
-    t = ((edges[:-1] + half)[:, None] + half[:, None] * rule.nodes).reshape(-1)
-    log_density = ((branches - 1) * np.log(t) - t / variance
-                   - branches * math.log(variance) - math.lgamma(branches))
-    values = bound(t[:, None] * coef) * np.exp(log_density)
-    tail = float(np.sum((values.reshape(half.size, -1) @ rule.weights) * half))
-    return min(head + tail, 1.0)
+    return _clamped_average(config, variance, cdf, density,
+                            math.ceil(math.sqrt(branches) / 8.0))
 
 
 def mrc_conditional_bler(branches, config, trials, seed, workers=None):

@@ -182,10 +182,12 @@ class TestSweepCommands:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch, threads):
         # every error-bound point of a curve sums panels of one grid per
-        # distribution, from the same top edge down: the block factors run
-        # at most once per distinct abscissa, also with two threads, which
-        # take the points of one distribution in one task, and the curve
-        # evaluates no abscissa that its deepest point alone would not
+        # distribution, from the same top edge down, and cuts the panel that
+        # holds its own kink: the block factors run at most once per
+        # distinct abscissa, also with two threads, which take the points of
+        # one distribution in one task; the curve evaluates exactly the
+        # abscissas its points would alone, and beyond its deepest point
+        # each other point adds at most one panel of nodes and one CDF
         monkeypatch.setenv(parallel.THREADS_ENV, threads)
         evaluations, dists = Counter(), {}
         block_factors, distribution = fas_stats._block_factors, cli._gain_distribution
@@ -200,24 +202,28 @@ class TestSweepCommands:
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted_factors)
         monkeypatch.setattr(cli, "_gain_distribution", remembered)
+        users = range(1, 21, 3)
         code, _, _ = run_cli(capsys, ["bler-vs-u", "--users", "1:20:3", "--ports", "5,50",
                                       "--mrc", "1", "--mrc-trials", "1000"])
         assert code == 0
         assert evaluations and max(evaluations.values()) == 1
         assert sorted(dists) == [5, 50]
-        curve = Counter((lam_rate, sizes) for lam_rate, sizes, _ in evaluations)
+        curve = set(evaluations)
         for ports, dist in dists.items():
-            deepest = 0
-            for users in range(1, 21, 3):
+            alone = []
+            for count in users:
                 evaluations.clear()
                 fresh = GainDistribution(model=dist.model, channel_variance=dist.channel_variance,
                                          rule=dist.rule)
                 metrics.statistical_bler(SystemConfig.from_snr_db(
-                    ports=ports, antenna_length=1.0, users=users, blocklength=5,
+                    ports=ports, antenna_length=1.0, users=count, blocklength=5,
                     snr_db=20.0), fresh)
-                deepest = max(deepest, len(evaluations))
+                alone.append(set(evaluations))
             sizes = tuple(size for size, _ in dist._size_counts)
-            assert curve[dist._lam_rate, sizes] == deepest
+            mine = {key for key in curve if key[:2] == (dist._lam_rate, sizes)}
+            assert mine == set.union(*alone)
+            deepest = max(map(len, alone))
+            assert len(mine) <= deepest + (len(users) - 1) * (metrics._PANEL_ORDER + 1)
 
     def test_bler_vs_w_large_port_count(self, capsys):
         # the block fit is matrix-free, so analytic sweeps take N far past
@@ -400,6 +406,16 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["dist", "--config", str(cfg)])
         assert code == 2
         assert "unknown configuration key" in err
+
+    @pytest.mark.parametrize("text", ["ports = 3\nports = 7\n",
+                                      "# spellings of one key\nt-points = 3\nt_points = 4\n"],
+                             ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["dist", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert f"{cfg}:{text.count(chr(10))}: repeated key" in err
 
     def test_bad_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -37,6 +37,7 @@ from fblfas.metrics import (
     outage_threshold,
     statistical_bler,
 )
+from fblfas.montecarlo import empirical_statistical_bler
 from fblfas.quadrature import gauss_laguerre, integrate_adaptive
 
 SINGLE_PORT_BLER = 0.523720870407838778  # scipy.quad + mpmath, M=5, U=1
@@ -162,10 +163,26 @@ class TestStatisticalBler:
         assert got == pytest.approx(SINGLE_PORT_BLER, abs=1e-9)
 
     def test_clamped_for_overloaded_system(self):
-        # ten active codewords through one port: the bound averages far
-        # above 1 and must clamp
+        # ten active codewords through one port: the raw bound averages far
+        # above 1, the clamped one stays below it; one port's gain is
+        # Exp(sigma^2), the one-branch MRC gain
         cfg = single_port_config(users=10)
-        assert statistical_bler(cfg, single_port_distribution()) == 1.0
+        got = statistical_bler(cfg, single_port_distribution())
+        assert got == pytest.approx(mrc_statistical_bler(1, cfg), rel=1e-12, abs=0.0)
+        assert got < 1.0
+
+    @pytest.mark.parametrize("mu2", [1e-9, 0.97])
+    def test_one_port_is_the_single_branch_mrc_average(self, mu2):
+        # a one-port block model is the exponential marginal whatever mu2,
+        # so both averages sum one law by one routine
+        dist = GainDistribution(model=BlockModel(1, (1,), mu2), channel_variance=2.0)
+        for users in (1, 4, 10, 20):
+            for blocklength in (5, 100):
+                for snr in range(0, 55, 5):
+                    cfg = SystemConfig.from_snr_db(ports=1, antenna_length=0.5, users=users,
+                                                   blocklength=blocklength, snr_db=snr)
+                    assert statistical_bler(cfg, dist) == pytest.approx(
+                        mrc_statistical_bler(1, cfg), rel=1e-12, abs=0.0), (users, blocklength, snr)
 
     def test_improves_with_ports(self):
         cfg5 = SystemConfig.from_snr_db(ports=5, antenna_length=1.0, users=10,
@@ -189,13 +206,14 @@ class TestStatisticalBler:
         (1000, 0.5, 0.97, 10), (50, 1.0, 0.1, 15), (1000, 1.0, 0.5, 15)])
     def test_low_snr_points_stop_once_the_sum_reaches_one(self, monkeypatch, ports, width,
                                                           mu2, users):
-        # at 0 dB the raw bound averages far above 1; every panel adds to
-        # the sum, so the rule returns 1 once the sum gets there. The former
-        # adaptive integral of a bound near 1e5 at low gain warned at the
-        # first point after 131,056 density calls; the former one-probe
-        # clamp proof missed the other two (of five at U = 15, M = 5, W = 1),
-        # which then ran 8.5-18 s, warned that they did not converge and
-        # returned 1
+        # at 0 dB the raw bound averages far above 1 and the clamped one
+        # sits near it: the kink lies high, the head F(s) holds nearly all
+        # of the sum, and few panels lie between the kink and the top edge.
+        # The former adaptive integral of a bound near 1e5 at low gain
+        # warned at the first point after 131,056 density calls; the former
+        # one-probe clamp proof missed the other two (of five at U = 15,
+        # M = 5, W = 1), which then ran 8.5-18 s, warned that they did not
+        # converge and returned 1
         calls = []
         density = metrics.pdf_gfas
 
@@ -206,22 +224,41 @@ class TestStatisticalBler:
         monkeypatch.setattr(metrics, "pdf_gfas", counted)
         cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=width, users=users,
                                        blocklength=5, snr_db=0.0)
+        dist = self.fitted(ports, width, mu2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert statistical_bler(cfg, self.fitted(ports, width, mu2)) == 1.0
-        assert 0 < len(calls) <= 5 * metrics._PANEL_ORDER
+            got = statistical_bler(cfg, dist)
+        assert len(calls) <= 5 * metrics._PANEL_ORDER
+        monkeypatch.undo()
+        assert got == pytest.approx(self.adaptive_average(cfg, dist, got), rel=1e-8, abs=0.0)
 
     @staticmethod
     def adaptive_average(cfg, dist, scale):
-        """E[h(G)] by the adaptive oracle in u = ln t, to 1e-10 of scale.
+        """E[min(h(G), 1)] by the adaptive oracle in u = ln t, to 1e-10 of scale.
 
-        The limits are the gain quantile 1 - 1e-13 and the first whole
-        e-fold below sigma^2 where h(0) F is at most 1e-13 of scale; the
-        range is cut into e-fold pieces, so that no peak narrower than the
-        range can slip between the first panel's nodes.
+        Below the gain t1 where h falls to 1 (bisected here; 0 when h(0) <= 1,
+        as at U = 1) the clamped bound is 1, so that part is F(t1). Above it
+        h f t is integrated from the larger of t1 and the first whole e-fold
+        below sigma^2 where F is at most 1e-13 of scale, up to the gain
+        quantile 1 - 1e-13; the range is cut into e-fold pieces, so that no
+        peak narrower than the range can slip between the first panel's
+        nodes.
         """
         active, bound = metrics._union_bound(cfg.users, cfg.blocklength)
         coef = 0.5 * cfg.codeword_variance / cfg.noise_variance * active
+
+        def h(t):
+            return float(bound(t * coef))
+
+        kink = 0.0
+        if h(0.0) > 1.0:
+            hi = dist.channel_variance
+            while h(hi) > 1.0:
+                hi *= 2.0
+            while hi - kink > 1e-15 * hi:
+                mid = 0.5 * (kink + hi)
+                kink, hi = (mid, hi) if h(mid) > 1.0 else (kink, mid)
+        head = cdf_gfas(dist, kink)
 
         def integrand(u):
             t = np.exp(np.atleast_1d(u))
@@ -229,16 +266,21 @@ class TestStatisticalBler:
 
         hi = math.log(quantile(dist, 1.0 - 1e-13))
         lo = math.log(dist.channel_variance)
-        while float(bound(0.0 * coef)) * cdf_gfas(dist, math.exp(lo)) > 1e-13 * scale:
+        while cdf_gfas(dist, math.exp(lo)) > 1e-13 * scale:
             lo -= 1.0
+        if kink > 0.0:
+            lo = max(lo, math.log(kink))
+        if lo >= hi:
+            return head
         edges = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
         pieces = [integrate_adaptive(integrand, a, b, tol=1e-10 * scale / (len(edges) - 1))
                   for a, b in zip(edges[:-1], edges[1:])]
         assert all(piece.converged for piece in pieces)
-        return math.fsum(piece.value for piece in pieces)
+        return head + math.fsum(piece.value for piece in pieces)
 
     # (ports, mu2, SNR in dB, blocklength, users), all at W = 1 and all
-    # averaging below 1; at most 3.1e-12 apart when written
+    # averaging below 1; at most 4.0e-12 apart when restated for the
+    # clamped average
     ORACLE_GRID = [
         (5, 0.1, 0.0, 5, 1), (5, 0.5, 20.0, 100, 20), (5, 0.99, 40.0, 5, 20),
         (5, 0.99, 10.0, 100, 1), (50, 0.1, 40.0, 100, 1), (50, 0.5, 20.0, 5, 20),
@@ -257,11 +299,41 @@ class TestStatisticalBler:
         assert 0.0 < got < 1.0
         assert got == pytest.approx(self.adaptive_average(cfg, dist, got), rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("ports", [5, 50])
+    def test_never_rises_with_snr(self, ports):
+        # the cut panel crosses grid edges as the kink moves with the SNR;
+        # the curve must not step up there
+        dist = self.fitted(ports, 0.5, 0.97)
+        values = [statistical_bler(SystemConfig.from_snr_db(
+            ports=ports, antenna_length=0.5, users=10, blocklength=5,
+            snr_db=10.0 + 0.05 * k), dist) for k in range(401)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("ports", [5, 50])
+    def test_never_falls_with_users(self, ports):
+        dist = self.fitted(ports, 0.5, 0.97)
+        values = [statistical_bler(SystemConfig.from_snr_db(
+            ports=ports, antenna_length=0.5, users=users, blocklength=5, snr_db=20.0), dist)
+            for users in range(1, 21)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("snr_db", [16.0, 22.0])
+    def test_agrees_with_the_monte_carlo_overlay(self, snr_db):
+        # both estimate E[min(h(G), 1)]; at N = 5 the block model is close
+        # to the exact channel, so they agree within the overlay's noise
+        # and the model error (the raw average, clamped after averaging,
+        # was 6 and 10 times the overlay here)
+        cfg = SystemConfig.from_snr_db(ports=5, antenna_length=0.5, users=10,
+                                       blocklength=5, snr_db=snr_db)
+        estimate = empirical_statistical_bler(cfg, samples=100_000, seed=1)
+        got = statistical_bler(cfg, self.fitted(5, 0.5, 0.97))
+        assert got == pytest.approx(estimate.value, rel=0.15)
+
     def test_points_of_one_distribution_share_densities(self):
         # the panel edges depend only on sigma^2 and M, so a second SNR
         # reads the first one's densities and computes only the panels it
-        # adds below them (here none; without the shared grid, all of its
-        # own)
+        # adds below them and the one it cuts at its kink (here 24 of its
+        # 144; without the shared grid, all of its own)
         dist = self.fitted(50, 1.0, 0.5)
 
         def at(snr_db):
