@@ -218,13 +218,17 @@ def _cmd_dist(args) -> PerformanceCurve:
                               args.quad_order)
     cdf = _map_points(lambda t: cdf_gfas(dist, float(t)), grid)
     pdf = _map_points(lambda t: pdf_gfas(dist, float(t)), grid)
-    ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
-                              args.samples, args.seed)
+    cdf_mc = cdf_mc_se = (math.nan,) * grid.size
+    if args.ports <= MAX_MC_PORTS:
+        ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
+                                  args.samples, args.seed)
+        cdf_mc = tuple(e.value for e in ests)
+        cdf_mc_se = tuple(e.standard_error for e in ests)
     series = {
         "cdf_analytic": tuple(cdf),
         "pdf_analytic": tuple(pdf),
-        "cdf_mc": tuple(e.value for e in ests),
-        "cdf_mc_se": tuple(e.standard_error for e in ests),
+        "cdf_mc": cdf_mc,
+        "cdf_mc_se": cdf_mc_se,
     }
     return PerformanceCurve("t", tuple(float(t) for t in grid), series, _metadata(args))
 
@@ -450,7 +454,7 @@ def build_parser():
     p.add_argument("--width", type=float, default=0.5,
                    help="aperture length W in wavelengths (default 0.5)")
     p.add_argument("--samples", type=int, default=100000,
-                   help="Monte Carlo draws (default 100000)")
+                   help=f"Monte Carlo draws, N <= {MAX_MC_PORTS} only (default 100000)")
     p.add_argument("--t-min", type=float, default=0.1, help="grid start (default 0.1)")
     p.add_argument("--t-max", type=float, default=40.0, help="grid end (default 40)")
     p.add_argument("--t-points", type=int, default=200, help="grid size (default 200)")

@@ -6,7 +6,10 @@ include the block-model error on purpose. Draws follow the channel
 module's determinism contract: fixed-size chunks keyed by (seed, chunk
 index), order-independent reductions, identical output for any worker
 count. Each sweep draws its channel once and evaluates every config on
-those draws; the per-config estimates are one-config sweeps.
+those draws; the per-config estimates are one-config sweeps. Gain CDFs and
+outages form only the draws whose mean port gain, a lower bound on the
+selected-port gain, lies at or below their largest threshold, with the
+same counts as forming every draw; the error-bound overlay forms all.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .channel import (
     eigen_factor,
 )
 from .metrics import conditional_bler, outage_threshold
+
+# Gains formed after the outage screen may round an ulp away from the
+# unscreened ones; a grid point within this relative distance of a formed
+# gain sends its chunk back to be counted unscreened.
+_TIE_SLACK = 1e-12
 
 # Below this many favorable events a probability estimate's relative error
 # is anyone's guess; the estimate carries a flag instead of pretending.
@@ -61,20 +69,30 @@ def _factor_transpose(ports, width) -> np.ndarray:
     return eigen_factor(build_correlation(int(ports), width)).T
 
 
-def _max_gains(index, size, factor_t, sigma2, seed) -> np.ndarray:
-    """max_k |g_k|^2 of each draw of chunk `index`, formed block by block."""
+def _max_gains(index, size, factor_t, sigma2, seed, cap=None) -> np.ndarray:
+    """max_k |g_k|^2 of each draw of chunk `index`, formed block by block.
+
+    With a cap, a draw whose mean port gain clears it (_channel_blocks'
+    screen) is left unformed and gets that mean, a lower bound above the
+    cap, instead; the formed gains can differ from unscreened ones by an ulp.
+    """
     gains = np.empty(size)
     rng = parallel.chunk_rng(seed, index)
-    for start, g in _channel_blocks(rng, size, factor_t, sigma2):
+    for rows, g in _channel_blocks(rng, size, factor_t, sigma2, cap, gains):
         np.square(g, out=g)
-        gains[start:start + len(g)] = np.max(g[:, 0] + g[:, 1], axis=1)
+        gains[rows] = np.max(g[:, 0] + g[:, 1], axis=1)
     return gains
 
 
 def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None):
     """Empirical CDF of the selected-port gain at each grid threshold.
 
-    Per draw the gain is max_k |g_k|^2 over the N correlated ports.
+    Per draw the gain is max_k |g_k|^2 over the N correlated ports. Only
+    draws whose mean port gain lies at or below the top grid point are
+    formed (the cap of _max_gains): the others lie above every grid point
+    either way. A chunk in which a formed gain lies within _TIE_SLACK of a
+    grid point, where an ulp could move a count, is counted again on every
+    draw, so each count is that of the unscreened draws.
     Returns a list of McEstimate, one per grid point, with binomial
     standard errors.
     """
@@ -87,10 +105,15 @@ def empirical_gain_cdf(ports, width, sigma2, t_grid, samples, seed, workers=None
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0.0):
         raise ValueError("t_grid must be finite and non-decreasing")
     factor_t = _factor_transpose(ports, width)
+    slack = _TIE_SLACK * np.abs(grid)
 
     def task(index, size):
-        gains = np.sort(_max_gains(index, size, factor_t, sigma2, seed))
-        return np.searchsorted(gains, grid, side="right")
+        gains = _max_gains(index, size, factor_t, sigma2, seed, grid[-1])
+        low = np.sort(gains[gains <= grid[-1]])
+        if np.any(np.searchsorted(low, grid - slack)
+                  != np.searchsorted(low, grid + slack, side="right")):
+            low = np.sort(_max_gains(index, size, factor_t, sigma2, seed))
+        return np.searchsorted(low, grid, side="right")
 
     counts = np.sum(parallel.run_chunks(task, samples, workers), axis=0)
     p = counts / samples

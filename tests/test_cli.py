@@ -120,6 +120,24 @@ class TestDistCommand:
         _, stdout_text, _ = run_cli(capsys, self.ARGS)
         assert target.read_text(encoding="utf-8") == stdout_text
 
+    def test_mc_columns_stop_at_the_port_cap(self, capsys, monkeypatch):
+        # past the cap the overlay is NaN and nothing is drawn or factored;
+        # the analytic columns still come from the matrix-free block fit
+        def refuse(correlation):
+            raise AssertionError(f"eigen_factor called at N = {correlation.size}")
+
+        monkeypatch.setattr(montecarlo, "eigen_factor", refuse)
+        code, out, err = run_cli(capsys, [
+            "dist", "--ports", "1200", "--samples", "1000", "--t-points", "4",
+            "--t-min", "1", "--t-max", "20"])
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert header == ["t", "cdf_analytic", "pdf_analytic", "cdf_mc", "cdf_mc_se"]
+        assert len(rows) == 4
+        for row in rows:
+            assert 0.0 <= row[1] <= 1.0 and row[2] >= 0.0
+            assert math.isnan(row[3]) and math.isnan(row[4])
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["dist", "--t-min", "5", "--t-max", "1"])
         assert code == 2
@@ -341,9 +359,9 @@ class TestSweepCommands:
         calls = Counter()
         max_gains = montecarlo._max_gains
 
-        def counted(index, size, factor_t, sigma2, seed):
+        def counted(index, size, factor_t, sigma2, seed, cap=None):
             calls[factor_t.shape[1], index, size] += 1
-            return max_gains(index, size, factor_t, sigma2, seed)
+            return max_gains(index, size, factor_t, sigma2, seed, cap)
 
         monkeypatch.setattr(montecarlo, "_max_gains", counted)
         code, _, err = run_cli(capsys, [
@@ -352,14 +370,22 @@ class TestSweepCommands:
         assert code == 0 and err == ""
         assert calls == Counter({(5, 0, 5000): 1, (10, 0, 5000): 1})
         calls.clear()
-        # 70,000 draws are two chunks, so two port counts take four draws
+        # 70,000 draws are two chunks, so two port counts take four draws,
+        # for the screened outage overlay as for the error bound
+        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
+        two_chunks = Counter({(ports, index, size): 1 for ports in (5, 8)
+                              for index, size in enumerate((full, rest))})
+        code, _, err = run_cli(capsys, [
+            "op-vs-u", "--users", "2,3,2", "--ports", "5,8", "--snr-db", "-15",
+            "--gamma-th", "0.01", "--mc-samples", "70000", "--mrc", "1", "--seed", "3"])
+        assert code == 0 and err == ""
+        assert calls == two_chunks
+        calls.clear()
         code, out, err = run_cli(capsys, [
             "bler-vs-snr", "--snr-db", "10,20,10", "--ports", "5,8",
             "--mc-samples", "70000", "--mrc", "1", "--mrc-trials", "1000", "--seed", "3"])
         assert code == 0 and err == ""
-        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
-        assert calls == Counter({(ports, index, size): 1 for ports in (5, 8)
-                                 for index, size in enumerate((full, rest))})
+        assert calls == two_chunks
         monkeypatch.undo()
         _, header, rows = parse_csv(out)
         for ports in (5, 8):

@@ -7,14 +7,16 @@ with the analytic chain within a few standard errors plus the known
 block-approximation slack.
 """
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fblfas import parallel
+from fblfas import montecarlo, parallel
 from fblfas.channel import (
     SystemConfig,
+    _channel_blocks,
     build_correlation,
     eigen_factor,
     fit_block_model,
@@ -201,6 +203,84 @@ class TestSamplingPath:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _formed_draws(monkeypatch) -> list:
+    """Spy on the sampling kernel: the row count of every block it yields."""
+    formed, blocks = [], montecarlo._channel_blocks
+
+    def counted(*args):
+        for rows, g in blocks(*args):
+            formed.append(len(g))
+            yield rows, g
+
+    monkeypatch.setattr(montecarlo, "_channel_blocks", counted)
+    return formed
+
+
+SCREENED_FACTORS = [(1, 0.5)] + [(n, w) for n in (2, 10, 50, 200, 1000) for w in (0.5, 3.0)]
+
+
+class TestOutageScreen:
+    """Gain CDFs form only the draws whose mean port gain can reach the grid."""
+
+    @pytest.mark.parametrize("ports,width", SCREENED_FACTORS)
+    def test_counts_equal_the_unscreened_draws(self, ports, width, monkeypatch):
+        samples, seed = 10_000, 23
+        factor_t = _factor_transpose(ports, width)
+        drawn = _max_gains(0, samples, factor_t, 2.0, seed)
+        gains = np.sort(drawn)
+        mid = 0.5 * (gains[:-1] + gains[1:])
+        # The top grid point is the screen's cap. "tie" puts a grid point
+        # exactly at a drawn gain, where a screened pass that rounded the
+        # gain up would lose a count, so the chunk is counted again
+        # unscreened. Where the screen does round some gain up (6 of the
+        # 2,501 it forms at N = 50, W = 3 with OpenBLAS 0.3.31 on an AVX-512
+        # Xeon), the tie sits on one of those.
+        cap = gains[samples // 4]
+        screened = _max_gains(0, samples, factor_t, 2.0, seed, cap)
+        rounded = drawn[(screened <= cap) & (screened > drawn)]
+        tie = rounded[0] if rounded.size else gains[samples // 10]
+        grids = {
+            "below": ([0.0, 0.5 * gains[0]], operator.lt),
+            "across": ([mid[samples // 20], mid[samples // 4]], operator.lt),
+            "tie": (sorted([tie, cap]), operator.gt),
+            "above": ([mid[samples // 2], 2.0 * gains[-1]], operator.eq),
+        }
+        # one eigendecomposition serves every grid
+        monkeypatch.setattr(montecarlo, "_factor_transpose", lambda ports, width: factor_t)
+        formed = _formed_draws(monkeypatch)
+        for name, (grid, versus) in grids.items():
+            formed.clear()
+            ests = empirical_gain_cdf(ports, width, 2.0, grid, samples, seed)
+            want = np.searchsorted(gains, grid, side="right") / samples
+            assert [e.value for e in ests] == list(want), name
+            assert versus(sum(formed), samples), name
+
+    @pytest.mark.parametrize("ports,width", SCREENED_FACTORS)
+    def test_mean_gain_never_exceeds_the_formed_max(self, ports, width):
+        # a cap below every mean screens every draw, so _max_gains returns
+        # each draw's bound; the unscreened kernel forms the same draws
+        count = 100_000
+        factor_t = _factor_transpose(ports, width)
+        bounds = _max_gains(0, count, factor_t, 2.0, 5, cap=-1.0)
+        means, gains = np.empty(count), np.empty(count)
+        for rows, g in _channel_blocks(parallel.chunk_rng(5, 0), count, factor_t, 2.0):
+            power = g[:, 0] ** 2 + g[:, 1] ** 2
+            means[rows], gains[rows] = np.mean(power, axis=1), np.max(power, axis=1)
+        np.testing.assert_allclose(bounds, means, rtol=1e-12, atol=0.0)
+        assert np.all(bounds <= gains * (1.0 + 1e-12))
+
+    def test_low_thresholds_form_few_draws(self, monkeypatch):
+        # at N = 200 and t = 0.634 about 4% of draws are outages and about
+        # 16% have a mean gain at or below t; a top grid point of 40 lies
+        # above nearly every mean, so every draw is formed
+        formed = _formed_draws(monkeypatch)
+        empirical_gain_cdf(200, 0.5, 2.0, [0.3, 0.634], parallel.CHUNK_DRAWS, seed=8)
+        assert 0 < sum(formed) <= 0.25 * parallel.CHUNK_DRAWS
+        formed.clear()
+        empirical_gain_cdf(200, 0.5, 2.0, [0.3, 40.0], parallel.CHUNK_DRAWS, seed=8)
+        assert sum(formed) == parallel.CHUNK_DRAWS
 
 
 class TestEmpiricalOutageSweep:
