@@ -20,7 +20,6 @@ from .specfun import (
     ncx2_pdf,
 )
 from .quadrature import (
-    AdaptiveResult,
     QuadratureRule,
     gauss_laguerre,
     integrate_adaptive,
@@ -32,11 +31,7 @@ from .channel import (
     build_correlation,
     eigen_factor,
     fit_block_model,
-    load_block_model,
-    load_correlation,
     sample_channels,
-    save_block_model,
-    save_correlation,
 )
 from .fas_stats import (
     GainDistribution,
@@ -70,7 +65,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveResult",
     "BlockModel",
     "GainDistribution",
     "McEstimate",
@@ -97,8 +91,6 @@ __all__ = [
     "fit_block_model",
     "gauss_laguerre",
     "integrate_adaptive",
-    "load_block_model",
-    "load_correlation",
     "marcum_q1",
     "mrc_conditional_bler",
     "mrc_outage",
@@ -110,7 +102,5 @@ __all__ = [
     "pdf_gfas",
     "quantile",
     "sample_channels",
-    "save_block_model",
-    "save_correlation",
     "statistical_bler",
 ]

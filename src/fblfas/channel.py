@@ -41,10 +41,6 @@ __all__ = [
     "eigen_factor",
     "sample_channels",
     "fit_block_model",
-    "save_correlation",
-    "load_correlation",
-    "save_block_model",
-    "load_block_model",
 ]
 
 # Eigenvalues below this fraction of the largest are treated as numerical
@@ -414,63 +410,3 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
         return BlockModel(block_count=1, block_sizes=(n,), mu2=float(mu2))
     sizes = (n - b + 1,) + (1,) * (b - 1)
     return BlockModel(block_count=int(b), block_sizes=sizes, mu2=float(mu2))
-
-
-# ============================================================================
-# Plain-text serialization
-# ============================================================================
-
-# Layout: `key=value` lines. A correlation is stored as its size and first
-# row, which define the whole Toeplitz matrix. Floats are written with
-# repr(), which round-trips binary doubles exactly.
-
-
-def _read_fields(path, keys) -> dict:
-    """{key: value} of a `key=value` file that sets each of keys once.
-
-    Blank lines are skipped; a line without `=`, an unknown or repeated
-    key, or a missing one raises ValueError.
-    """
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in filter(str.strip, fh):
-            key, sep, value = (part.strip() for part in line.partition("="))
-            problem = ("expected key=value" if not sep else "unknown key" if key not in keys
-                       else "repeated key" if key in fields else None)
-            if problem:
-                raise ValueError(f"{path}: {problem}: {line.strip()!r}")
-            fields[key] = value
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise ValueError(f"{path}: missing key {', '.join(missing)}")
-    return fields
-
-
-def save_correlation(corr: ToeplitzCorrelation, path) -> None:
-    lines = [f"size={corr.size}",
-             "first_row=" + ",".join(repr(float(v)) for v in corr.first_row)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_correlation(path) -> ToeplitzCorrelation:
-    fields = _read_fields(path, ("size", "first_row"))
-    first_row = np.array([float(v) for v in fields["first_row"].split(",")])
-    return ToeplitzCorrelation(size=int(fields["size"]), first_row=first_row)
-
-
-def save_block_model(model: BlockModel, path) -> None:
-    lines = [f"block_count={model.block_count}",
-             "block_sizes=" + ",".join(str(s) for s in model.block_sizes),
-             f"mu2={model.mu2!r}"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_block_model(path) -> BlockModel:
-    fields = _read_fields(path, ("block_count", "block_sizes", "mu2"))
-    return BlockModel(
-        block_count=int(fields["block_count"]),
-        block_sizes=tuple(int(s) for s in fields["block_sizes"].split(",")),
-        mu2=float(fields["mu2"]),
-    )

@@ -21,8 +21,9 @@ Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
 for byte. Values use 17 significant digits and round-trip binary doubles
 exactly. Configuration precedence is command line over ``--config`` file
-over built-in defaults. Set ``FBLFAS_THREADS`` to cap worker threads;
-results do not depend on the thread count.
+over built-in defaults. ``FBLFAS_THREADS`` sets the threads that run Monte
+Carlo chunks; analytic points run serially. Results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,26 +166,6 @@ def _metadata(args) -> dict:
     return meta
 
 
-def _map_points(fn, items) -> list:
-    """Evaluate fn over items, in parallel when allowed, output in order."""
-    items = list(items)
-    workers = parallel.worker_count(None)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _per_group(fn, groups) -> dict:
-    """{item: value} where fn(items) lists the values of one group's items.
-
-    Each group is one task of _map_points, its items evaluated in order.
-    """
-    groups = list(groups)
-    values = _map_points(fn, groups)
-    return {item: v for items, vs in zip(groups, values) for item, v in zip(items, vs)}
-
-
 def _gain_distribution(ports, width, mu2, sigma2, order) -> GainDistribution:
     if ports == 1:
         model = BlockModel(block_count=1, block_sizes=(1,), mu2=mu2)
@@ -216,8 +196,8 @@ def _cmd_dist(args) -> PerformanceCurve:
     grid = np.linspace(args.t_min, args.t_max, args.t_points)
     dist = _gain_distribution(args.ports, args.width, args.mu2, args.sigma2,
                               args.quad_order)
-    cdf = _map_points(lambda t: cdf_gfas(dist, float(t)), grid)
-    pdf = _map_points(lambda t: pdf_gfas(dist, float(t)), grid)
+    cdf = tuple(cdf_gfas(dist, float(t)) for t in grid)
+    pdf = tuple(pdf_gfas(dist, float(t)) for t in grid)
     cdf_mc = cdf_mc_se = (math.nan,) * grid.size
     if args.ports <= MAX_MC_PORTS:
         ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
@@ -225,8 +205,8 @@ def _cmd_dist(args) -> PerformanceCurve:
         cdf_mc = tuple(e.value for e in ests)
         cdf_mc_se = tuple(e.standard_error for e in ests)
     series = {
-        "cdf_analytic": tuple(cdf),
-        "pdf_analytic": tuple(pdf),
+        "cdf_analytic": cdf,
+        "pdf_analytic": pdf,
         "cdf_mc": cdf_mc,
         "cdf_mc_se": cdf_mc_se,
     }
@@ -301,9 +281,9 @@ def _sweep(row, args) -> PerformanceCurve:
     _N{n} per port count where row.per_port, then one mrc_L{l} column per
     branch count on a single antenna (ports = 1). Repeated sweep values and
     the MRC config that every port count and width shares are evaluated
-    once. The points of one channel (ports, antenna_length) run in one task,
-    in curve order, on one gain distribution, and their overlay reads one
-    set of exact-channel draws. The MRC columns are deterministic
+    once. The points of one channel (ports, antenna_length) run in curve
+    order on one gain distribution, and their overlay reads one set of
+    exact-channel draws. The MRC columns are deterministic
     (mrc_outage and mrc_statistical_bler): --seed and --mrc-trials move none.
     Monte Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
     """
@@ -320,25 +300,17 @@ def _sweep(row, args) -> PerformanceCurve:
     for c in dict.fromkeys(points):
         channels.setdefault((c.ports, c.antenna_length), []).append(c)
     metric = outage_probability if row.outage else statistical_bler
-
-    def analytic(cs):
-        # one task per channel: its points share the distribution's density
-        # memo, which two threads would both fill
-        dist = _gain_distribution(cs[0].ports, cs[0].antenna_length, args.mu2, args.sigma2,
-                                  args.quad_order)
-        return [metric(c, dist) for c in cs]
-
-    fas = _per_group(analytic, channels.values())
-    mc = {}
-    if args.mc_samples:
-        # the points of one channel share one set of exact-channel draws
-        overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
-        mc = _per_group(lambda cs: overlay(cs, args.mc_samples, args.seed),
-                        [cs for cs in channels.values() if cs[0].ports <= MAX_MC_PORTS])
+    overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
+    fas, mc = {}, {}
+    for (ports, width), cs in channels.items():
+        dist = _gain_distribution(ports, width, args.mu2, args.sigma2, args.quad_order)
+        fas.update((c, metric(c, dist)) for c in cs)
+        if args.mc_samples and ports <= MAX_MC_PORTS:
+            mc.update(zip(cs, overlay(cs, args.mc_samples, args.seed)))
     # a single antenna's metrics read no aperture, so one width serves all
     mrc_configs = configs(ports=1, width=1.0)
     bench_metric = mrc_outage if row.outage else mrc_statistical_bler
-    # closed form, under a millisecond a point: no thread pool
+    # closed form, under a millisecond a point
     bench = {pair: bench_metric(*pair)
              for pair in dict.fromkeys((b, c) for b in args.mrc for c in mrc_configs)}
     series = {}
@@ -373,14 +345,13 @@ def _cmd_quad_check(args) -> PerformanceCurve:
     series = {}
     for mu in args.mu:
         mu2 = mu * mu
-        def at(t, _mu2=mu2):
+        def at(t):
             # The block-factor helpers fix the sigma^2 = 2 reference scale;
             # other variances rescale the threshold.
             t_eff = 2.0 * float(t) / args.sigma2
-            gl = block_cdf_factor(_mu2, args.lb, t_eff, rule=rule)
-            oracle = block_cdf_factor_adaptive(_mu2, args.lb, t_eff)
-            return gl, oracle
-        pairs = _map_points(at, grid)
+            return (block_cdf_factor(mu2, args.lb, t_eff, rule=rule),
+                    block_cdf_factor_adaptive(mu2, args.lb, t_eff))
+        pairs = [at(t) for t in grid]
         tag = f"mu{mu:g}"
         series[f"gl_value_{tag}"] = tuple(p[0] for p in pairs)
         series[f"oracle_value_{tag}"] = tuple(p[1] for p in pairs)
@@ -520,6 +491,9 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(by_name[args.command], _read_config(args.config))
             args = parser.parse_args(argv)
+        # outside input: a malformed FBLFAS_THREADS fails every subcommand,
+        # also one that runs no Monte Carlo chunk
+        parallel.worker_count(None)
         curve = args.func(args)
         text = render_csv(curve)
         if args.out:

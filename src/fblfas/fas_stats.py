@@ -49,21 +49,20 @@ from .channel import BlockModel
 class GainDistribution:
     """Distribution of the selected-port gain for one block model.
 
-    Immutable and safe to share across threads. Where the Gauss-Laguerre
-    rule resolves a block's bracket, its per-node chi-square family is built
-    lazily on first use and then reused; elsewhere the split rule places its
-    nodes per abscissa (see _latent_split).
+    Immutable. Where the Gauss-Laguerre rule resolves a block's bracket, its
+    per-node chi-square family is built lazily on first use and then
+    reused; elsewhere the split rule places its nodes per abscissa (see
+    _latent_split).
 
     The instance is also the unit of reuse: it remembers every value that
-    cdf_gfas, pdf_gfas and quantile return for it, keyed by the float
-    argument. The error-bound points of a curve average over one
-    distribution on one grid of panels, so they share one density per node
-    and one CDF per panel edge; each point adds only the panel cut at its
-    own kink and the CDF there. Values are pure functions of (instance,
-    argument): a hit returns the bits a fresh evaluation would, and threads
-    that miss together only compute the same value twice. Each memo stops
-    growing at _MEMO_ENTRIES values and lives as long as the instance, so
-    sweeps over t, SNR or user count should go through a single instance.
+    cdf_gfas and pdf_gfas return for it, keyed by the float argument. The
+    error-bound points of a curve average over one distribution on one grid
+    of panels, so they share one density per node and one CDF per panel
+    edge; each point adds only the panel cut at its own kink and the CDF
+    there. Values are pure functions of (instance, argument): a hit returns
+    the bits a fresh evaluation would. Each memo stops growing at
+    _MEMO_ENTRIES values and lives as long as the instance, so sweeps over
+    t, SNR or user count should go through a single instance.
 
     The reference scale is channel_variance = 2: evaluations at a general
     sigma^2 map the argument through t' = 2 t / sigma^2 (and densities pick
@@ -101,8 +100,8 @@ class GainDistribution:
 
     @cached_property
     def _memo(self) -> tuple:
-        # (cdf by t, pdf by t, quantile by p); see the class docstring.
-        return {}, {}, {}
+        # (cdf by t, pdf by t); see the class docstring.
+        return {}, {}
 
 
 # Most values each memo of a GainDistribution keeps (1.4 MB when full).
@@ -316,10 +315,6 @@ def quantile(dist: GainDistribution, p) -> float:
         raise ValueError("quantile requires 0 <= p < 1")
     if p == 0.0:
         return 0.0
-    memo = dist._memo[2]
-    value = memo.get(p)
-    if value is not None:
-        return value
     hi = max(dist.channel_variance, 1.0)
     for _ in range(1100):
         if cdf_gfas(dist, hi) >= p:
@@ -334,7 +329,7 @@ def quantile(dist: GainDistribution, p) -> float:
             lo = mid
         else:
             hi = mid
-    return _remember(memo, p, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Criteria 1 and 2 failed while the latent-variable integral was a plain
 order-32 Gauss-Laguerre sum, which cannot resolve the bracket at
 mu2 >= 0.94; that was integration error, not model error, and the split
 rule in fas_stats removed it (criterion 1 now measures about 0.011 CDF
-sup and 0.031 PDF L1, criterion 2 about 4e-11, the oracle's tolerance).
+sup and 0.030 PDF L1, criterion 2 about 8e-14 against the adaptive
+oracle).
 
 The failure is a measurement, not a loose tolerance; the module suites
 pin the achieved accuracy so regressions stay visible.

@@ -14,11 +14,7 @@ from fblfas.channel import (
     build_correlation,
     eigen_factor,
     fit_block_model,
-    load_block_model,
-    load_correlation,
     sample_channels,
-    save_block_model,
-    save_correlation,
 )
 
 
@@ -250,67 +246,3 @@ class TestFitBlockModel:
             BlockModel(block_count=2, block_sizes=(3,), mu2=0.5)
         with pytest.raises(ValueError):
             BlockModel(block_count=1, block_sizes=(0,), mu2=0.5)
-
-
-class TestSerialization:
-    def test_correlation_round_trip(self, tmp_path):
-        corr = build_correlation(12, 0.7)
-        path = tmp_path / "corr.txt"
-        save_correlation(corr, path)
-        # the first row defines the matrix; no N^2 floats are written
-        assert [ln.partition("=")[0] for ln in path.read_text().splitlines()] == [
-            "size", "first_row"]
-        back = load_correlation(path)
-        assert back.size == corr.size
-        assert np.array_equal(back.first_row, corr.first_row)
-
-    def test_block_model_round_trip(self, tmp_path):
-        model = fit_block_model(build_correlation(50, 1.0), 0.97)
-        path = tmp_path / "model.txt"
-        save_block_model(model, path)
-        back = load_block_model(path)
-        assert back == model
-
-    def test_corrupt_correlation_rejected(self, tmp_path):
-        corr = build_correlation(4, 0.5)
-        path = tmp_path / "corr.txt"
-        save_correlation(corr, path)
-        size, row = path.read_text().splitlines()
-        path.write_text(size + "\n" + row.rpartition(",")[0] + "\n")  # drop the last lag
-        with pytest.raises(ValueError):
-            load_correlation(path)
-
-    def test_legacy_matrix_block_rejected(self, tmp_path):
-        # a `matrix:` block of the former layout is a line without `=`
-        corr = build_correlation(4, 0.5)
-        path = tmp_path / "corr.txt"
-        save_correlation(corr, path)
-        rows = [",".join(repr(float(v)) for v in r) for r in linalg.toeplitz(corr.first_row)]
-        path.write_text(path.read_text() + "matrix:\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="expected key=value"):
-            load_correlation(path)
-
-    @pytest.mark.parametrize("kind", ["correlation", "block_model"])
-    def test_loaders_reject_malformed_files(self, tmp_path, kind):
-        path = tmp_path / "saved.txt"
-        if kind == "correlation":
-            save_correlation(build_correlation(4, 0.5), path)
-            load = load_correlation
-        else:
-            save_block_model(fit_block_model(build_correlation(50, 1.0), 0.97), path)
-            load = load_block_model
-        lines = path.read_text().splitlines()
-        assert load(path) is not None
-        # blank lines are skipped
-        path.write_text("\n" + "\n\n".join(lines) + "\n\n")
-        load(path)
-        cases = {
-            "expected key=value": lines + ["junk"],
-            "unknown key: 'colour=blue'": lines + ["colour=blue"],
-            "repeated key": lines + [lines[0]],
-            "missing key": lines[1:],
-        }
-        for message, bad in cases.items():
-            path.write_text("\n".join(bad) + "\n")
-            with pytest.raises(ValueError, match=message):
-                load(path)

@@ -1,6 +1,7 @@
 """Command-line surface: list parsing, CSV shape, precedence, exit codes."""
 import argparse
 import math
+import threading
 from collections import Counter
 
 import pytest
@@ -202,10 +203,10 @@ class TestSweepCommands:
         # every error-bound point of a curve sums panels of one grid per
         # distribution, from the same top edge down, and cuts the panel that
         # holds its own kink: the block factors run at most once per
-        # distinct abscissa, also with two threads, which take the points of
-        # one distribution in one task; the curve evaluates exactly the
-        # abscissas its points would alone, and beyond its deepest point
-        # each other point adds at most one panel of nodes and one CDF
+        # distinct abscissa, also with two threads set, since analytic points
+        # run serially; the curve evaluates exactly the abscissas its points
+        # would alone, and beyond its deepest point each other point adds at
+        # most one panel of nodes and one CDF
         monkeypatch.setenv(parallel.THREADS_ENV, threads)
         evaluations, dists = Counter(), {}
         block_factors, distribution = fas_stats._block_factors, cli._gain_distribution
@@ -242,6 +243,25 @@ class TestSweepCommands:
             assert mine == set.union(*alone)
             deepest = max(map(len, alone))
             assert len(mine) <= deepest + (len(users) - 1) * (metrics._PANEL_ORDER + 1)
+
+    def test_only_monte_carlo_chunks_leave_the_main_thread(self, capsys, monkeypatch):
+        # FBLFAS_THREADS = T starts at most T threads: the channels run one
+        # after another on the main thread, and only parallel.run_chunks
+        # opens a pool, for the chunks of one channel's draws
+        monkeypatch.setenv(parallel.THREADS_ENV, "2")
+        calls = Counter()
+
+        def on_main_thread(fn):
+            def spy(*args, **kwargs):
+                calls[fn.__name__, threading.current_thread() is threading.main_thread()] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(parallel, "run_chunks", on_main_thread(parallel.run_chunks))
+        monkeypatch.setattr(cli, "_gain_distribution", on_main_thread(cli._gain_distribution))
+        code, _, err = run_cli(capsys, ["op-vs-u", "--ports", "5,50", "--mc-samples", "140000"])
+        assert code == 0 and err == ""
+        assert calls == Counter({("run_chunks", True): 2, ("_gain_distribution", True): 2})
 
     def test_bler_vs_w_large_port_count(self, capsys):
         # the block fit is matrix-free, so analytic sweeps take N far past
@@ -410,6 +430,20 @@ class TestSweepCommands:
         assert header[:4] == ["users", "fas_N1001", "mc_N1001", "mc_N1001_se"]
         assert 0.0 < rows[0][1] <= 1.0
         assert math.isnan(rows[0][2]) and math.isnan(rows[0][3])
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "FBLFAS_THREADS must be an integer, got 'abc'"),
+        ("0", "worker count must be >= 1"),
+    ])
+    @pytest.mark.parametrize("argv", [["bler-vs-u", "--users", "1:2"], ["quad-check"]],
+                             ids=["bler-vs-u", "quad-check"])
+    def test_malformed_value_exits_2(self, capsys, monkeypatch, raw, message, argv):
+        # outside input, so it fails also a subcommand that draws nothing
+        monkeypatch.setenv(parallel.THREADS_ENV, raw)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"fblfas: error: {message}\n")
 
 
 class TestConfigFile:
