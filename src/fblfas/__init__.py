@@ -14,10 +14,8 @@ and writes reproducible CSV curves.
 from .errors import NumericError
 from .specfun import (
     Ncx2Family,
-    bessel_i0_scaled,
     marcum_q1,
     ncx2_cdf,
-    ncx2_pdf,
 )
 from .quadrature import (
     QuadratureRule,
@@ -31,7 +29,6 @@ from .channel import (
     build_correlation,
     eigen_factor,
     fit_block_model,
-    sample_channels,
 )
 from .fas_stats import (
     GainDistribution,
@@ -73,7 +70,6 @@ __all__ = [
     "QuadratureRule",
     "SystemConfig",
     "ToeplitzCorrelation",
-    "bessel_i0_scaled",
     "block_cdf_factor",
     "block_cdf_factor_adaptive",
     "build_correlation",
@@ -96,11 +92,9 @@ __all__ = [
     "mrc_outage",
     "mrc_statistical_bler",
     "ncx2_cdf",
-    "ncx2_pdf",
     "outage_probability",
     "outage_threshold",
     "pdf_gfas",
     "quantile",
-    "sample_channels",
     "statistical_bler",
 ]

@@ -7,19 +7,20 @@ distance of n spacings apart is the unnormalized sinc
     a(n) = sin(z)/z,    z = 2 pi n W / (N - 1),
 
 which stacks into a symmetric Toeplitz correlation matrix. Channels are
-drawn through the eigenvalue factorization g = Q_r Lambda_r^(1/2) g0,
-restricted to the r eigenvalues that survive the round-off clip: g0 holds
-r i.i.d. circular complex Gaussians, not N. The sinc kernel's spectrum
-plunges after about 2W + 1 dominant modes (the discrete prolate spheroidal
-spectrum) and drops below the clip a few modes later, so r is 7 at W = 0.5
-for any N from 10 to 1000 and 16 at N = 1000, W = 3, and each draw costs
-O(rN) instead of O(N^2); the clipped columns contribute exactly zero, so
-the channel's distribution is the same. The correlation structure is
-condensed into a small block model (per-block size L_b, shared
-intra-block correlation mu^2) for the analytical distribution work. The
-block fit is matrix-free: it finds the leading eigenvalues from the first
-row alone, so only the Monte Carlo factorization (eigen_factor) ever
-builds the N x N matrix.
+drawn, a block at a time by _channel_blocks, the one sampling kernel that
+montecarlo's gain draws run on, through the eigenvalue factorization
+g = Q_r Lambda_r^(1/2) g0, restricted to the r eigenvalues that survive
+the round-off clip: g0 holds r i.i.d. circular complex Gaussians, not N.
+The sinc kernel's spectrum plunges after about 2W + 1 dominant modes (the
+discrete prolate spheroidal spectrum) and drops below the clip a few modes
+later, so r is 7 at W = 0.5 for any N from 10 to 1000 and 16 at N = 1000,
+W = 3, and each draw costs O(rN) instead of O(N^2); the clipped columns
+contribute exactly zero, so the channel's distribution is the same. The
+correlation structure is condensed into a small block model (per-block
+size L_b, shared intra-block correlation mu^2) for the analytical
+distribution work. The block fit is matrix-free: it finds the leading
+eigenvalues from the first row alone, so only the Monte Carlo
+factorization (eigen_factor) ever builds the N x N matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import NumericError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "BlockModel",
     "build_correlation",
     "eigen_factor",
-    "sample_channels",
     "fit_block_model",
 ]
 
@@ -178,17 +177,20 @@ class ToeplitzCorrelation:
 class BlockModel:
     """Block-diagonal stand-in for the full correlation structure."""
 
-    block_count: int
     block_sizes: tuple
     mu2: float
 
     def __post_init__(self):
-        if self.block_count < 1 or len(self.block_sizes) != self.block_count:
-            raise ValueError("block_sizes must list one size per block")
+        if not self.block_sizes:
+            raise ValueError("block_sizes must list at least one block")
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("every block size must be >= 1")
         if not (0.0 < self.mu2 < 1.0):
             raise ValueError("mu2 must lie strictly inside (0, 1)")
+
+    @property
+    def block_count(self) -> int:
+        return len(self.block_sizes)
 
     @property
     def ports(self) -> int:
@@ -279,40 +281,6 @@ def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
         yield slice(start, start + rows), (z @ scaled).reshape(rows, 2, ports)
 
 
-def sample_channels(factor: np.ndarray, sigma2: float, count: int, seed: int,
-                    workers=None) -> np.ndarray:
-    """Draw correlated channel vectors g = Q_r Lambda_r^(1/2) g0.
-
-    g0 holds r i.i.d. circular complex Gaussian mode weights of variance
-    sigma2 (split evenly between real and imaginary parts), one per
-    column of the N x r factor (eigen_factor's), so each port's |g_k|^2 is
-    exponential with mean sigma2. Real and imaginary parts are real
-    products with the factor, so a draw costs O(rN), not O(N^2). This is
-    the library's one sampling path: montecarlo's gain draws go through
-    the same kernel.
-
-    Returns a (count, N) complex array. Draws are organized in fixed-size
-    chunks keyed by (seed, chunk index), so the output is bit-identical for
-    any worker count.
-    """
-    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-        raise ValueError("sigma2 must be positive and finite")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    factor_t = np.asarray(factor, dtype=float).T
-
-    def task(index, size):
-        out = np.empty((size, factor_t.shape[1]), dtype=complex)
-        rng = parallel.chunk_rng(seed, index)
-        for rows, g in _channel_blocks(rng, size, factor_t, sigma2):
-            part = out[rows]
-            part.real, part.imag = g[:, 0], g[:, 1]
-        return out
-
-    blocks = parallel.run_chunks(task, count, workers)
-    return np.concatenate(blocks, axis=0)
-
-
 def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
     """Leading eigenvalues, descending, of the symmetric Toeplitz matrix of row.
 
@@ -399,7 +367,7 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     vals = _leading_eigenvalues(corr.first_row) if mean > 0.0 else None
     if vals is None or not (vals[0] > 0.0):
         warnings.warn("degenerate correlation spectrum; falling back to one block")
-        return BlockModel(block_count=1, block_sizes=(n,), mu2=float(mu2))
+        return BlockModel(block_sizes=(n,), mu2=float(mu2))
 
     threshold = max(BLOCK_SIGNIFICANCE * float(vals[0]), mean)
     # the relative slack keeps eigenvalues that sit on the threshold up to
@@ -407,6 +375,6 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     b = int(np.sum(vals >= threshold * (1.0 - 1e-9)))
     if b < 1:  # pragma: no cover - max >= mean makes this unreachable
         warnings.warn("degenerate correlation spectrum; falling back to one block")
-        return BlockModel(block_count=1, block_sizes=(n,), mu2=float(mu2))
+        return BlockModel(block_sizes=(n,), mu2=float(mu2))
     sizes = (n - b + 1,) + (1,) * (b - 1)
-    return BlockModel(block_count=int(b), block_sizes=sizes, mu2=float(mu2))
+    return BlockModel(block_sizes=sizes, mu2=float(mu2))

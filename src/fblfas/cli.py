@@ -168,7 +168,7 @@ def _metadata(args) -> dict:
 
 def _gain_distribution(ports, width, mu2, sigma2, order) -> GainDistribution:
     if ports == 1:
-        model = BlockModel(block_count=1, block_sizes=(1,), mu2=mu2)
+        model = BlockModel(block_sizes=(1,), mu2=mu2)
     else:
         model = fit_block_model(build_correlation(ports, width), mu2)
     return GainDistribution(model=model, channel_variance=sigma2,
@@ -190,10 +190,14 @@ def _system_config(args, ports, width, users, snr_db) -> SystemConfig:
 # ============================================================================
 
 
-def _cmd_dist(args) -> PerformanceCurve:
+def _t_grid(args) -> np.ndarray:
     if not (args.t_min > 0.0 and args.t_max > args.t_min):
         raise ValueError("need 0 < t-min < t-max")
-    grid = np.linspace(args.t_min, args.t_max, args.t_points)
+    return np.linspace(args.t_min, args.t_max, args.t_points)
+
+
+def _cmd_dist(args) -> PerformanceCurve:
+    grid = _t_grid(args)
     dist = _gain_distribution(args.ports, args.width, args.mu2, args.sigma2,
                               args.quad_order)
     cdf = tuple(cdf_gfas(dist, float(t)) for t in grid)
@@ -328,19 +332,9 @@ def _sweep(row, args) -> PerformanceCurve:
 
 
 def _cmd_quad_check(args) -> PerformanceCurve:
-    if not (args.t_min > 0.0 and args.t_max > args.t_min):
-        raise ValueError("need 0 < t-min < t-max")
-    mus = args.mu
-    if mus is None:
-        # Honor an explicit --mu2 as the single checked correlation; the
-        # default sweep covers the weak-to-strong range.
-        mus = (math.sqrt(args.mu2),) if args.mu2 is not None else (0.1, 0.5, 0.97)
-    for mu in mus:
-        if not (0.0 < mu < 1.0):
-            raise ValueError("every mu must lie strictly inside (0, 1)")
-    args.mu = tuple(float(m) for m in mus)
-    args.mu2 = None
-    grid = np.linspace(args.t_min, args.t_max, args.t_points)
+    grid = _t_grid(args)
+    if not all(0.0 < mu < 1.0 for mu in args.mu):
+        raise ValueError("every mu must lie strictly inside (0, 1)")
     rule = gauss_laguerre(args.quad_order)
     series = {}
     for mu in args.mu:
@@ -365,18 +359,23 @@ def _cmd_quad_check(args) -> PerformanceCurve:
 # ============================================================================
 
 
-def _add_common(sub, *order_aliases, mu2_default=0.97,
-                mu2_help="intra-block correlation (default 0.97)",
-                seed_help="base seed for every Monte Carlo draw (default 1)"):
+def _add_model_and_seed(sub):
+    # dist and the sweeps; quad-check takes its correlations from --mu and
+    # draws nothing
+    sub.add_argument("--mu2", type=float, default=0.97,
+                     help="intra-block correlation (default 0.97)")
+    sub.add_argument("--seed", type=int, default=1,
+                     help="base seed for every Monte Carlo draw (default 1)")
+
+
+def _add_common(sub):
     sub.add_argument("--sigma2", type=float, default=2.0,
                      help="channel variance per port (default 2)")
-    sub.add_argument("--mu2", type=float, default=mu2_default, help=mu2_help)
-    sub.add_argument(*order_aliases, "--quad-order", dest="quad_order", type=int, default=32,
+    sub.add_argument("--quad-order", type=int, default=32,
                      help="latent-variable rule order (default 32): the Gauss-Laguerre "
                           "node count where that rule resolves a block's bracket, else "
                           "twice the node count of each of the split rule's (at most "
                           "four) Gauss-Legendre panels")
-    sub.add_argument("--seed", type=int, default=1, help=seed_help)
     sub.add_argument("--config", metavar="PATH",
                      help="flat key=value file supplying defaults")
     sub.add_argument("--out", metavar="PATH",
@@ -429,24 +428,24 @@ def build_parser():
     p.add_argument("--t-min", type=float, default=0.1, help="grid start (default 0.1)")
     p.add_argument("--t-max", type=float, default=40.0, help="grid end (default 40)")
     p.add_argument("--t-points", type=int, default=200, help="grid size (default 200)")
+    _add_model_and_seed(p)
     _add_common(p)
 
     for name, row in _SWEEPS.items():
         p = register(name, functools.partial(_sweep, row), row.help)
         _add_sweep_flags(p, row)
+        _add_model_and_seed(p)
         _add_common(p)
 
     p = register("quad-check", _cmd_quad_check,
                  "fixed-order quadrature versus adaptive oracle on the block factor")
-    p.add_argument("--mu", type=parse_float_list, default=None,
+    p.add_argument("--mu", type=parse_float_list, default=parse_float_list("0.1,0.5,0.97"),
                    help="correlation values mu, squared internally (default 0.1,0.5,0.97)")
     p.add_argument("--lb", type=int, default=3, help="block size exponent (default 3)")
     p.add_argument("--t-min", type=float, default=0.2, help="grid start (default 0.2)")
     p.add_argument("--t-max", type=float, default=20.0, help="grid end (default 20)")
     p.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")
-    _add_common(p, "--order", mu2_default=None,
-                mu2_help="single correlation, equivalent to --mu sqrt(mu2)",
-                seed_help="accepted for uniformity; this check draws nothing")
+    _add_common(p)
 
     return parser, by_name
 

@@ -9,8 +9,8 @@ combined gain is Gamma(L, sigma^2) (Simon and Alouini, Digital
 Communication over Fading Channels, 2005), which gives the outage in closed
 form. L is an integer, so P(G <= t) = P(N >= L) for a Poisson count N of
 mean t / sigma^2, and specfun._poisson_tails gives both tails; no inverse
-of them is needed. The seeded Monte Carlo estimate of the MRC average
-stays as a test oracle.
+of them is needed. mrc_conditional_bler, the seeded Monte Carlo estimate
+of the MRC average for one config, stays as its test oracle.
 
 The bound h itself can exceed 1 at low gain. Every error rate here, the
 FAS and MRC averages and the Monte Carlo estimates alike, is E[min(h(G), 1)]:
@@ -312,44 +312,21 @@ def mrc_statistical_bler(branches, config: SystemConfig) -> float:
                             math.ceil(math.sqrt(branches) / 8.0))
 
 
-def mrc_conditional_bler(branches, config, trials, seed, workers=None):
+def mrc_conditional_bler(branches, config: SystemConfig, trials, seed, workers=None) -> float:
     """Average clamped union bound over seeded Gamma(L, sigma^2) gain draws.
 
     No sweep calls it: it is the Monte Carlo oracle of mrc_statistical_bler.
 
     Deterministic for a given seed regardless of worker count (fixed-size
     chunks with per-chunk generators, exact order-independent reduction).
-
-    config may also be a sequence of SystemConfigs sharing channel_variance,
-    for which a list of averages in the same order is returned. The gains
-    depend only on (L, sigma^2, trials, seed), so a sweep over users, SNR or
-    blocklength changes only the bound evaluated on them: each chunk is drawn
-    once and each distinct bound (users, blocklength and the two variances)
-    sums its clamped values over it, so every average equals a call with its
-    config alone bit for bit.
     """
     branches = _positive_int("branches", branches)
     trials = _positive_int("trials", trials)
-    single = isinstance(config, SystemConfig)
-    configs = [config] if single else list(config)
-    if not configs:
-        raise ValueError("config must be a SystemConfig or a nonempty sequence of them")
-    variance = configs[0].channel_variance
-    if any(c.channel_variance != variance for c in configs):
-        raise ValueError("configs must share channel_variance")
-    bounds = [(c.users, c.blocklength, c.codeword_variance, c.noise_variance)
-              for c in configs]
-    distinct = list(dict.fromkeys(bounds))
 
     def task(index, size):
         rng = parallel.chunk_rng(seed, index)
-        gains = rng.gamma(shape=branches, scale=variance, size=size)
-        return [float(np.sum(conditional_bler(users, blocklength, gains, cv, nv)))
-                for users, blocklength, cv, nv in distinct]
+        gains = rng.gamma(shape=branches, scale=config.channel_variance, size=size)
+        return float(np.sum(conditional_bler(config.users, config.blocklength, gains,
+                                             config.codeword_variance, config.noise_variance)))
 
-    partial_sums = parallel.run_chunks(task, trials, workers)
-    averages = {key: math.fsum(sums[j] for sums in partial_sums) / trials
-                for j, key in enumerate(distinct)}
-    if single:
-        return averages[bounds[0]]
-    return [averages[key] for key in bounds]
+    return math.fsum(parallel.run_chunks(task, trials, workers)) / trials

@@ -31,6 +31,9 @@ def worker_count(workers=None) -> int:
             workers = int(raw)
         except ValueError as exc:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
+        if workers < 1:
+            raise ValueError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
+        return workers
     workers = int(workers)
     if workers < 1:
         raise ValueError("worker count must be >= 1")

@@ -1,15 +1,16 @@
 """Special functions for noncentral chi-square tail work.
 
-Everything that feeds the gain distribution runs through here: the
-exponentially scaled Bessel I0, the first-order Marcum Q function, the
-density / distribution function of the 2-degree-of-freedom noncentral
-chi-square law, and the two tails of a Poisson count, which are the
-regularized incomplete gamma functions of integer order. The correlation
-regimes of interest push the noncentrality to a few tens of thousands, so
-all probabilities are assembled from sums of positive terms with the seeds
-of those sums carried in log space; nothing in this module evaluates
-e^x * I0(x) unscaled or exponentiates a large positive number. It needs
-numpy and the standard library only.
+Everything that feeds the gain distribution runs through here: the two
+tails of a Poisson count, which are the regularized incomplete gamma
+functions of integer order, the first-order Marcum Q function, the
+distribution function of the 2-degree-of-freedom noncentral chi-square
+law, and Ncx2Family, which gives the distribution function and density of
+many such laws at one abscissa from shared Poisson tables. The
+correlation regimes of interest push the noncentrality to a few tens of
+thousands, so all probabilities are assembled from sums of positive terms
+with the seeds of those sums carried in log space; nothing in this module
+exponentiates a large positive number. It needs numpy and the standard
+library only.
 """
 
 from __future__ import annotations
@@ -21,75 +22,10 @@ import numpy as np
 from .errors import NumericError
 
 __all__ = [
-    "bessel_i0_scaled",
     "marcum_q1",
-    "ncx2_pdf",
     "ncx2_cdf",
     "Ncx2Family",
 ]
-
-_EPS = np.finfo(float).eps
-
-# ============================================================================
-# Exponentially scaled modified Bessel function of order zero
-# ============================================================================
-
-# Below the seam the ascending series converges with every term positive, so
-# there is no cancellation; the largest intermediate at x = 50 is ~3e19, far
-# from overflow. Above the seam the Hankel asymptotic series reaches machine
-# precision in well under 25 terms (its error floor ~e^(-2x) is negligible
-# for x >= 50).
-_SERIES_SEAM = 50.0
-
-
-def _i0_scaled_series(x):
-    # e^(-x) * sum_k (x^2/4)^k / (k!)^2
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 121):
-        term = term * q / (k * k)
-        total += term
-        if np.all(term <= total * 1e-18):
-            break
-    return total * np.exp(-x)
-
-
-def _i0_scaled_asymptotic(x):
-    # (2 pi x)^(-1/2) * sum_k ((2k-1)!!)^2 / (k! (8x)^k)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 26):
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        total += term
-        if np.all(term <= total * 1e-18):
-            break
-    return total / np.sqrt(2.0 * np.pi * x)
-
-
-def bessel_i0_scaled(x):
-    """Evaluate e^(-x) * I0(x) for x >= 0.
-
-    Ascending power series below x = 50, scaled asymptotic expansion above;
-    the two branches agree to better than 1e-13 relative at the seam.
-    Accepts a scalar or an ndarray; returns a float for scalar input.
-    The result lies in (0, 1] and decays like 1/sqrt(2 pi x).
-    """
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("bessel_i0_scaled requires finite x >= 0")
-    out = np.empty_like(arr)
-    small = arr < _SERIES_SEAM
-    if np.any(small):
-        out[small] = _i0_scaled_series(arr[small])
-    big = ~small
-    if np.any(big):
-        out[big] = _i0_scaled_asymptotic(arr[big])
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
-
 
 # ============================================================================
 # Poisson tails: regularized incomplete gamma functions of integer order
@@ -273,21 +209,6 @@ def marcum_q1(a, b):
 # ============================================================================
 # Noncentral chi-square with 2 degrees of freedom
 # ============================================================================
-
-
-def ncx2_pdf(x, lam):
-    """Density (1/2) e^(-(x+lam)/2) I0(sqrt(lam x)) at x >= 0.
-
-    Evaluated as exp(-(sqrt(x) - sqrt(lam))^2 / 2) * i0_scaled(sqrt(lam x)) / 2,
-    which keeps the exponent non-positive for any argument size.
-    """
-    x = float(x)
-    lam = float(lam)
-    if not (math.isfinite(x) and math.isfinite(lam)) or x < 0.0 or lam < 0.0:
-        raise ValueError("ncx2_pdf requires finite x >= 0 and lam >= 0")
-    rx = math.sqrt(x)
-    rl = math.sqrt(lam)
-    return 0.5 * math.exp(-0.5 * (rx - rl) ** 2) * bessel_i0_scaled(rx * rl)
 
 
 def ncx2_cdf(x, lam):

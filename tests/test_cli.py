@@ -146,19 +146,14 @@ class TestDistCommand:
 
 
 class TestQuadCheckCommand:
-    def test_order_alias_and_mu2(self, capsys):
-        base = ["quad-check", "--mu2", "0.25", "--lb", "2",
-                "--t-points", "4", "--t-min", "0.5", "--t-max", "4"]
-        code, out, _ = run_cli(capsys, base + ["--order", "16"])
-        assert code == 0
-        meta, header, rows = parse_csv(out)
-        assert meta["quad_order"] == "16"
-        assert meta["mu"] == "0.5"  # resolved from --mu2
-        assert header == ["t", "gl_value_mu0.5", "oracle_value_mu0.5",
-                          "abs_err_sq_mu0.5"]
-        assert all(r[3] < 1e-20 for r in rows)  # weak correlation: exact
-        code2, out2, _ = run_cli(capsys, base + ["--quad-order", "16"])
-        assert code2 == 0 and out2 == out
+    def test_removed_options_exit_2(self, capsys):
+        # quad-check draws nothing and takes its correlations from --mu;
+        # --seed, --mu2 and the --order alias of --quad-order are gone
+        for extra in (["--seed", "1"], ["--mu2", "0.25"], ["--order", "16"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["quad-check", "--t-points", "2"] + extra)
+            assert exc.value.code == 2, extra
+            assert capsys.readouterr().out == "", extra
 
     def test_default_mu_sweep(self, capsys):
         code, out, _ = run_cli(capsys, ["quad-check", "--t-points", "3"])
@@ -435,7 +430,7 @@ class TestSweepCommands:
 class TestThreadsVariable:
     @pytest.mark.parametrize("raw, message", [
         ("abc", "FBLFAS_THREADS must be an integer, got 'abc'"),
-        ("0", "worker count must be >= 1"),
+        ("0", "FBLFAS_THREADS must be >= 1, got '0'"),
     ])
     @pytest.mark.parametrize("argv", [["bler-vs-u", "--users", "1:2"], ["quad-check"]],
                              ids=["bler-vs-u", "quad-check"])

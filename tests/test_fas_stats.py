@@ -190,7 +190,7 @@ class TestCdfGfas:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_factorizes_over_blocks(self):
-        model = BlockModel(block_count=2, block_sizes=(3, 2), mu2=0.6)
+        model = BlockModel(block_sizes=(3, 2), mu2=0.6)
         dist = GainDistribution(model=model, channel_variance=2.0,
                                 rule=gauss_laguerre(32))
         for t in (0.5, 2.0, 7.0):
@@ -213,7 +213,7 @@ class TestCdfGfas:
         # one block holding all ports at vanishing correlation: the max of
         # N independent Exp(2) gains
         for ports in (1, 5, 10):
-            model = BlockModel(block_count=1, block_sizes=(ports,), mu2=1e-9)
+            model = BlockModel(block_sizes=(ports,), mu2=1e-9)
             dist = GainDistribution(model=model, channel_variance=2.0,
                                     rule=gauss_laguerre(32))
             for t in (0.5, 1.0, 2.0, 5.0):

@@ -20,7 +20,6 @@ from fblfas.channel import (
     build_correlation,
     eigen_factor,
     fit_block_model,
-    sample_channels,
 )
 from fblfas.fas_stats import GainDistribution, cdf_gfas
 from fblfas.metrics import conditional_bler, outage_threshold
@@ -35,6 +34,7 @@ from fblfas.montecarlo import (
     empirical_statistical_bler_sweep,
 )
 from fblfas.quadrature import gauss_laguerre
+from reference import sample_channels
 
 SINGLE_PORT_BLER = 0.523720870407838778  # same quad oracle as test_metrics
 
