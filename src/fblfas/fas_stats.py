@@ -58,8 +58,9 @@ class GainDistribution:
     cdf_gfas and pdf_gfas return for it, keyed by the float argument. The
     error-bound points of a curve average over one distribution on one grid
     of panels, so they share one density per node and one CDF per panel
-    edge; each point adds only the panel cut at its own kink and the CDF
-    there. Values are pure functions of (instance, argument): a hit returns
+    edge; even the panel that holds a point's kink is a whole grid panel,
+    interpolated across the kink, so no value is a single point's own.
+    Values are pure functions of (instance, argument): a hit returns
     the bits a fresh evaluation would. Each memo stops growing at
     _MEMO_ENTRIES values and lives as long as the instance, so sweeps over
     t, SNR or user count should go through a single instance.
@@ -105,11 +106,11 @@ class GainDistribution:
 
 
 # Most values each memo of a GainDistribution keeps (1.4 MB when full).
-# Every default bler-vs-* curve evaluates at most 792 densities per
-# distribution (bler-vs-u, 20 points of which each cuts one panel of 24
-# nodes); one error-bound point at large blocklength and high SNR can
-# evaluate thousands (512 panels of 24 nodes for one port at U = 1,
-# M = 1000 and 60 dB).
+# Every default bler-vs-* curve evaluates at most 384 densities per
+# distribution (bler-vs-w; 336 for the 20 points of bler-vs-u); one
+# error-bound point at large blocklength and high SNR can evaluate
+# thousands (372 panels of 24 nodes for one port at U = 1, M = 1000 and
+# 60 dB, where the kink lies far below the bulk).
 _MEMO_ENTRIES = 1 << 14
 
 

@@ -35,8 +35,8 @@ from .channel import SystemConfig
 from .fas_stats import GainDistribution, _panel_rule, cdf_gfas, pdf_gfas
 from .specfun import _poisson_tails
 
-# Each cut of _clamped_average (the head, the top edge and the early stop)
-# errs by at most this fraction of the average.
+# Each cut of _clamped_average (the head, the top edge, the tail bound's
+# top cut and the low ends) errs by at most this fraction of the average.
 _SLACK = 1e-13
 # Gauss-Legendre nodes per panel of _clamped_average. Against 128 nodes,
 # at L = 1-8, U up to 30 and 0-50 dB, MRC panels of 16 nodes erred by up to
@@ -166,77 +166,145 @@ def _check_consistent(config: SystemConfig, dist: GainDistribution):
         )
 
 
+def _interpolation(points):
+    """Matrix taking values on the _PANEL_ORDER Legendre nodes to values at points.
+
+    Lagrange interpolation in the barycentric form (Berrut and Trefethen,
+    SIAM Review 46, 2004), whose weights for the nodes x_k and weights w_k
+    of a Gauss-Legendre rule are (-1)^k sqrt((1 - x_k^2) w_k) up to a common
+    factor that cancels. points lie in [-1, 1]; a point that is a node
+    reads that node's value.
+    """
+    rule = _panel_rule(_PANEL_ORDER)
+    signs = np.where(np.arange(_PANEL_ORDER) % 2 == 0, 1.0, -1.0)
+    diff = points[:, None] - rule.nodes
+    exact = diff == 0.0
+    terms = signs * np.sqrt((1.0 - rule.nodes ** 2) * rule.weights) / np.where(exact, 1.0, diff)
+    hits = exact.any(axis=1)
+    terms[hits] = exact[hits]
+    return terms / terms.sum(axis=1, keepdims=True)
+
+
 def _clamped_average(config: SystemConfig, variance, cdf, density, per_efold) -> float:
     """E[min(h(G), 1)] of the union bound h over a gain law G of scale sigma^2.
 
-    cdf(t) is P(G <= t); density(t) is the density on an array of t. h falls
-    in the gain, so below the kink s where it falls to 1 - _SLACK (bisected
-    geometrically to a relative width of 1e-12; it depends only on U, M and
-    the two variances) min(h, 1) lies in [1 - _SLACK, 1] and that part of
-    the average is taken as the head F(s). Above s, h f t is summed in
-    u = ln t by _PANEL_ORDER-node Gauss-Legendre panels of the fixed grid
-    of edges sigma^2 e^(j/m), m the larger of ceil(sqrt(M) / 3) and
-    per_efold, the law's own need. The grid depends only on sigma^2 and m,
-    so the points of a curve share their nodes and edges; only the panel
-    that holds s, cut there, is a point's own.
+    cdf(t) is P(G <= t); density(t) is the density on an array of t. Both
+    are read only on a fixed grid: the edges t_j = sigma^2 e^(j/m) and the
+    _PANEL_ORDER Gauss-Legendre nodes of the panels [t_j, t_(j+1)] in
+    u = ln t, m the larger of ceil(sqrt(M) / 3) and per_efold, the law's own
+    need. The grid depends only on sigma^2 and m, so the points of a curve
+    share every value they read.
 
-    Panels run down from the top edge, the first where F reaches 1 - _SLACK
-    (every F is at most the single-port 1 - exp(-t / sigma^2), so the search
-    starts where that does). h is at most h(top) above it and min(h, 1) at
-    least h(top) below it, so the mass dropped above is at most _SLACK /
-    (1 - _SLACK) of the average. They stop at s, or once F(edge) is at most
-    _SLACK of the sum, since min(h, 1) <= 1 bounds all that lies below the
-    edge, head included. The loop thus never runs past the panels between
-    s and the top edge.
+    h falls in the gain, so below the kink s where it falls to 1 - _SLACK
+    (bisected geometrically to a relative width of 1e-12; it depends only
+    on U, M and the two variances) min(h, 1) lies in [1 - _SLACK, 1], and
+    that part of the average is taken as the head. Above s, h f t is summed
+    panel by panel. The panel [t_j, t_(j+1)] that holds s is evaluated
+    whole, and f t is carried to [t_j, s] and [s, t_(j+1)] by barycentric
+    Lagrange interpolation on its nodes: the head is F(t_j) plus the
+    interpolant's integral over [t_j, s].
+
+    The top edge is the first where F reaches 1 - _SLACK (every F is at
+    most the single-port 1 - exp(-t / sigma^2), so the search starts where
+    that does), so the mass above it is at most _SLACK / (1 - _SLACK) of
+    the average. The edge CDFs from there down bound the average from below
+    before any density is read: h is least on a panel at its upper edge, so
+    L = sum_j min(h(t_j), 1) (F(t_j) - F(t_(j-1))) over the edges read, the
+    lowest t_low taking all of F(t_low) (at least (1 - _SLACK) F(t_low) when
+    t_low is the cut panel's lower edge). The mass above an edge t is at
+    most min(h(t), 1) (1 - F(t)), so every panel above the lowest edge
+    where that tail is at most _SLACK / 2 of L is dropped.
+
+    The edges are read down to the cut panel's, or to the first whose F is
+    at most _SLACK of the bound summed above it. The panels stop there, or
+    once F(edge) is at most _SLACK of their sum, since min(h, 1) <= 1
+    bounds all that lies below the edge, head included.
     """
     active, bound = _union_bound(config.users, config.blocklength)
     coef = 0.5 * config.codeword_variance / config.noise_variance * active
     target = 1.0 - _SLACK
 
-    def above(t):
-        return float(bound(coef * t)) > target
+    def h(t):
+        return float(bound(coef * t))
 
     hi = 1.0 / coef[-1]
-    while above(hi):
+    while h(hi) > target:
         hi *= 2.0
     lo = 0.5 * hi
-    while not above(lo):
+    while not h(lo) > target:
         lo, hi = 0.5 * lo, lo
     while hi > lo * (1.0 + 1e-12):
         mid = math.sqrt(lo * hi)
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        lo, hi = (mid, hi) if h(mid) > target else (lo, mid)
     kink = hi
 
     per_efold = max(math.ceil(math.sqrt(config.blocklength) / 3.0), per_efold)
+
+    def edge(j):
+        return variance * math.exp(j / per_efold)
+
     top = math.ceil(per_efold * math.log(-math.log(_SLACK)))
-    while cdf(variance * math.exp(top / per_efold)) < target:
+    while (value := cdf(edge(top))) < target:
         top += 1
+    cut = per_efold * math.log(kink / variance)
+    base = min(math.floor(cut), top)
+
+    # F and min(h, 1) at the edges from the top down, and the part of L
+    # summed above the lowest edge read
+    cdfs, caps, above = [value], [min(h(edge(top)), 1.0)], 0.0
+    for j in range(top - 1, base - 1, -1):
+        cdfs.append(cdf(edge(j)))
+        caps.append(min(h(edge(j)), 1.0))
+        above += caps[-2] * (cdfs[-2] - cdfs[-1])
+        if cdfs[-1] <= _SLACK * above:
+            break
+    low = top - len(cdfs) + 1
+    threshold = 0.5 * _SLACK * (above + caps[-1] * cdfs[-1])
+    upper = top
+    for cap, level in zip(caps[1:], cdfs[1:]):
+        if cap * (1.0 - level) > threshold:
+            break
+        upper -= 1
+
     rule = _panel_rule(_PANEL_ORDER)
     offsets = 0.5 + 0.5 * rule.nodes
     weights = (0.5 / per_efold) * rule.weights
 
-    def panel(low, high):
-        # the sum over [low, high], in grid units of u, 1 / per_efold each
-        t = variance * np.exp((low + (high - low) * offsets) / per_efold)
-        return (high - low) * float(np.dot(weights, bound(t[:, None] * coef) * density(t) * t))
+    def nodes(low, high):
+        # the nodes over [low, high], in grid units of u, 1 / per_efold each
+        return variance * np.exp((low + (high - low) * offsets) / per_efold)
 
-    cut = per_efold * math.log(kink / variance)
+    def panel(t, ft):
+        return float(np.dot(weights, bound(t[:, None] * coef) * ft))
+
     total = 0.0
-    for j in range(top - 1, math.floor(cut), -1):
-        total += panel(j, j + 1)
-        if cdf(variance * math.exp(j / per_efold)) <= _SLACK * total:
+    for j in range(upper - 1, low, -1):
+        t = nodes(j, j + 1)
+        total += panel(t, density(t) * t)
+        if cdfs[top - j] <= _SLACK * total:
             return total
-    if cut < top:
-        total += panel(cut, math.floor(cut) + 1)
-    return min(total + cdf(kink), 1.0)
+    head = cdfs[-1] if low == base else 0.0
+    if upper > low:
+        t = nodes(low, low + 1)
+        ft = density(t) * t
+        if low > base:
+            total += panel(t, ft)
+        else:
+            share = cut - base
+            inside = _interpolation(2.0 * (share + (1.0 - share) * offsets) - 1.0)
+            below = _interpolation(2.0 * share * offsets - 1.0)
+            total += (1.0 - share) * panel(nodes(cut, base + 1), inside @ ft)
+            head += share * float(np.dot(weights, below @ ft))
+    return min(total + head, 1.0)
 
 
 def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
     """Average clamped union bound E[min(h(G), 1)] over the FAS gain distribution.
 
     Summed by _clamped_average from cdf_gfas and pdf_gfas of dist, whose
-    memo the points of a curve share: they read one grid of panels and
-    differ only in the panel cut at their own kink.
+    memo the points of a curve share: they read one grid of panel edges and
+    nodes, the panel that holds a point's kink included, and differ only in
+    which panels they sum.
     """
     _check_consistent(config, dist)
     return _clamped_average(config, dist.channel_variance, lambda t: cdf_gfas(dist, t),

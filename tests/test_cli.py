@@ -195,13 +195,15 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bler_vs_u_shares_each_distributions_work(self, capsys, monkeypatch, threads):
-        # every error-bound point of a curve sums panels of one grid per
-        # distribution, from the same top edge down, and cuts the panel that
-        # holds its own kink: the block factors run at most once per
-        # distinct abscissa, also with two threads set, since analytic points
-        # run serially; the curve evaluates exactly the abscissas its points
-        # would alone, and beyond its deepest point each other point adds at
-        # most one panel of nodes and one CDF
+        # every error-bound point of a curve reads one grid of edges and
+        # whole panels per distribution, the panel that holds its own kink
+        # included (interpolated across the kink, not evaluated on nodes of
+        # its own): the block factors run at most once per distinct
+        # abscissa, also with two threads set, since analytic points run
+        # serially; the curve evaluates exactly the abscissas its points
+        # would alone, and beyond its deepest point the six others add one
+        # panel and its edge between them at N = 50 and none at N = 5 (when
+        # each point cut its own panel, each added up to a panel and a CDF)
         monkeypatch.setenv(parallel.THREADS_ENV, threads)
         evaluations, dists = Counter(), {}
         block_factors, distribution = fas_stats._block_factors, cli._gain_distribution
@@ -237,7 +239,27 @@ class TestSweepCommands:
             mine = {key for key in curve if key[:2] == (dist._lam_rate, sizes)}
             assert mine == set.union(*alone)
             deepest = max(map(len, alone))
-            assert len(mine) <= deepest + (len(users) - 1) * (metrics._PANEL_ORDER + 1)
+            assert len(mine) <= deepest + metrics._PANEL_ORDER + 1
+
+    @pytest.mark.parametrize("subcommand, cap", [("bler-vs-u", 336), ("bler-vs-snr", 192)])
+    def test_default_error_bound_curves_cap_their_densities(self, capsys, monkeypatch,
+                                                            subcommand, cap):
+        # the default curves (20 and 16 points) read one shared grid of
+        # panels per distribution; when each point also evaluated a panel
+        # of its own at its kink, bler-vs-u took 792 and 648 densities per
+        # distribution and bler-vs-snr 552, 552 and 504, and the benchmark's
+        # two-point curves did not show it
+        densities = Counter()
+        block_factors = fas_stats._block_factors
+
+        def counted(x, lam_rate, sizes, *rest, density):
+            densities[lam_rate, tuple(sizes)] += density
+            return block_factors(x, lam_rate, sizes, *rest, density=density)
+
+        monkeypatch.setattr(fas_stats, "_block_factors", counted)
+        code, _, _ = run_cli(capsys, [subcommand])
+        assert code == 0
+        assert densities and max(densities.values()) <= cap
 
     def test_only_monte_carlo_chunks_leave_the_main_thread(self, capsys, monkeypatch):
         # FBLFAS_THREADS = T starts at most T threads: the channels run one

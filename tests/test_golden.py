@@ -20,6 +20,13 @@ the overlays and the MRC benchmark estimate, by up to 96% relative (1 to
 0.040 in bler_vs_u_default); their MRC columns moved within 2.1e-14
 relative, and their Monte Carlo columns and every other file kept their
 bytes.
+The fas and mrc_L columns of the seven bler_* files were re-captured once
+more when the error-bound sum came to read only its shared grid (the
+panel that holds the kink interpolated, not evaluated on its own nodes)
+and to drop the panels above the edge where its tail bound is negligible:
+the fas cells moved by up to 1.9e-11 relative (bler_vs_snr_default,
+fas_N1000) and the mrc_L cells by up to 3.0e-14 (bler_vs_u_default,
+mrc_L2); every other column and file kept its bytes.
 The two quad_check files lost their `# seed = 1` line when quad-check,
 which draws nothing, dropped --seed; their bodies kept their bytes.
 Every sweep must run without a warning.

@@ -213,17 +213,10 @@ class TestStatisticalBler:
         # one-probe clamp proof missed the other two (of five at U = 15,
         # M = 5, W = 1), which then ran 8.5-18 s, warned that they did not
         # converge and returned 1
-        calls = []
-        density = metrics.pdf_gfas
-
-        def counted(dist, t):
-            calls.append(t)
-            return density(dist, t)
-
-        monkeypatch.setattr(metrics, "pdf_gfas", counted)
         cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=width, users=users,
                                        blocklength=5, snr_db=0.0)
         dist = self.fitted(ports, width, mu2)
+        calls = self.counted_densities(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = statistical_bler(cfg, dist)
@@ -298,6 +291,106 @@ class TestStatisticalBler:
         assert 0.0 < got < 1.0
         assert got == pytest.approx(self.adaptive_average(cfg, dist, got), rel=1e-8, abs=0.0)
 
+    def test_cut_panel_interpolation_is_exact_for_its_polynomials(self):
+        # values on the 24 Legendre nodes fix a polynomial of degree 23,
+        # which the barycentric form reproduces anywhere in the panel; a
+        # point on a node reads that node's value
+        nodes = metrics._panel_rule(metrics._PANEL_ORDER).nodes
+        points = np.append(np.linspace(-1.0, 1.0, 11), nodes[5])
+        matrix = metrics._interpolation(points)
+        rng = np.random.default_rng(4)
+        for degree in (0, 7, metrics._PANEL_ORDER - 1):
+            coefficients = rng.normal(size=degree + 1)
+            np.testing.assert_allclose(
+                matrix @ np.polynomial.polynomial.polyval(nodes, coefficients),
+                np.polynomial.polynomial.polyval(points, coefficients), rtol=0.0, atol=1e-12)
+        assert np.array_equal(matrix[-1], np.eye(metrics._PANEL_ORDER)[5])
+
+    @staticmethod
+    def counted_densities(monkeypatch):
+        calls = []
+        density = metrics.pdf_gfas
+
+        def counted(dist, t):
+            calls.append(t)
+            return density(dist, t)
+
+        monkeypatch.setattr(metrics, "pdf_gfas", counted)
+        return calls
+
+    # (ports, mu2, SNR in dB, users, panels) at M = 1000 and W = 1: h falls by
+    # tens of orders of magnitude within a few panels above the kink, so the
+    # tail bound drops most panels below the top edge (132, 214, 106 and 132
+    # panels were summed before); at U = 1 the kink lies far below the bulk
+    @pytest.mark.parametrize("ports, mu2, snr_db, users, panels", [
+        (5, 0.97, 45.3, 10, 34), (5, 0.5, 50.0, 1, 105), (50, 0.5, 40.0, 20, 37),
+        (50, 0.99, 50.0, 5, 35)])
+    def test_long_blocks_at_high_snr_match_the_adaptive_oracle(self, monkeypatch, ports, mu2,
+                                                               snr_db, users, panels):
+        cfg = SystemConfig.from_snr_db(ports=ports, antenna_length=1.0, users=users,
+                                       blocklength=1000, snr_db=snr_db)
+        dist = self.fitted(ports, 1.0, mu2)
+        calls = self.counted_densities(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = statistical_bler(cfg, dist)
+        assert len(calls) <= panels * metrics._PANEL_ORDER
+        monkeypatch.undo()
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(self.adaptive_average(cfg, dist, got), rel=1e-8, abs=0.0)
+
+    def test_an_underflowing_long_block_point_runs_a_handful_of_panels(self, monkeypatch):
+        # the average underflows to 0: h underflows a few panels above the
+        # kink, and the tail bound drops every panel above that edge (all
+        # 105 between the kink and the top edge were summed before)
+        cfg = SystemConfig.from_snr_db(ports=200, antenna_length=1.0, users=10,
+                                       blocklength=1000, snr_db=57.7)
+        dist = self.fitted(200, 1.0, 0.9)
+        calls = self.counted_densities(monkeypatch)
+        assert statistical_bler(cfg, dist) == 0.0
+        assert len(calls) <= 5 * metrics._PANEL_ORDER
+
+    def test_curves_read_the_gain_law_only_on_the_shared_grid(self, monkeypatch):
+        # FAS and MRC points alike ask for CDFs only at the edges
+        # sigma^2 e^(j/m) and for densities only on whole panels between
+        # them, the one that holds the kink included
+        asked = []
+        average = metrics._clamped_average
+
+        def recording(config, variance, cdf, density, per_efold):
+            m = max(math.ceil(math.sqrt(config.blocklength) / 3.0), per_efold)
+
+            def cdf_at(t):
+                asked.append((variance, m, "cdf", t))
+                return cdf(t)
+
+            def density_at(t):
+                asked.append((variance, m, "density", t))
+                return density(t)
+
+            return average(config, variance, cdf_at, density_at, per_efold)
+
+        monkeypatch.setattr(metrics, "_clamped_average", recording)
+        dist = self.fitted(50, 1.0, 0.5)
+        for blocklength in (5, 100):
+            for snr_db in np.arange(0.0, 41.0, 2.5):
+                for users in (1, 4, 20):
+                    cfg = SystemConfig.from_snr_db(ports=50, antenna_length=1.0, users=users,
+                                                   blocklength=blocklength, snr_db=snr_db)
+                    statistical_bler(cfg, dist)
+                    for branches in (1, 2, 64):
+                        mrc_statistical_bler(branches, cfg)
+        offsets = 0.5 + 0.5 * metrics._panel_rule(metrics._PANEL_ORDER).nodes
+        kinds = set()
+        for variance, m, kind, t in asked:
+            kinds.add((m, kind))
+            if kind == "cdf":
+                assert t == variance * math.exp(round(m * math.log(t / variance)) / m)
+            else:
+                j = round(m * math.log(t[0] / variance) - offsets[0])
+                assert np.array_equal(t, variance * np.exp((j + offsets) / m))
+        assert kinds == {(m, kind) for m in (1, 4) for kind in ("cdf", "density")}
+
     @pytest.mark.parametrize("ports", [5, 50])
     def test_never_rises_with_snr(self, ports):
         # the cut panel crosses grid edges as the kink moves with the SNR;
@@ -331,8 +424,10 @@ class TestStatisticalBler:
     def test_points_of_one_distribution_share_densities(self):
         # the panel edges depend only on sigma^2 and M, so a second SNR
         # reads the first one's densities and computes only the panels it
-        # adds below them and the one it cuts at its kink (here 24 of its
-        # 144; without the shared grid, all of its own)
+        # adds below them; the panel that holds its kink is a whole grid
+        # panel too (here it adds none of its 144 densities; 24 when it
+        # cut that panel on nodes of its own, and all 144 without the
+        # shared grid)
         dist = self.fitted(50, 1.0, 0.5)
 
         def at(snr_db):
@@ -342,7 +437,7 @@ class TestStatisticalBler:
         first = at(20.0)
         one = len(dist._memo[1])
         assert at(36.0) < first
-        assert len(dist._memo[1]) < 2 * one
+        assert len(dist._memo[1]) == one
 
     def test_rejects_mismatched_config(self):
         cfg = single_port_config(ports=3)
