@@ -375,7 +375,8 @@ def _add_common(sub):
                      help="latent-variable rule order (default 32): the Gauss-Laguerre "
                           "node count where that rule resolves a block's bracket, else "
                           "twice the node count of each of the split rule's (at most "
-                          "four) Gauss-Legendre panels")
+                          "four) Gauss-Legendre panels; below 32 the CDF and the density "
+                          "can disagree (by up to 6e-3 of a panel's mass at 16, 100%% at 8)")
     sub.add_argument("--config", metavar="PATH",
                      help="flat key=value file supplying defaults")
     sub.add_argument("--out", metavar="PATH",

@@ -54,16 +54,17 @@ class GainDistribution:
     reused; elsewhere the split rule places its nodes per abscissa (see
     _latent_split).
 
-    The instance is also the unit of reuse: it remembers every value that
-    cdf_gfas and pdf_gfas return for it, keyed by the float argument. The
-    error-bound points of a curve average over one distribution on one grid
-    of panels, so they share one density per node and one CDF per panel
-    edge; even the panel that holds a point's kink is a whole grid panel,
-    interpolated across the kink, so no value is a single point's own.
-    Values are pure functions of (instance, argument): a hit returns
-    the bits a fresh evaluation would. Each memo stops growing at
-    _MEMO_ENTRIES values and lives as long as the instance, so sweeps over
-    t, SNR or user count should go through a single instance.
+    The instance is also the unit of reuse: one evaluation at t gives both
+    the CDF and the density, and the instance remembers that pair, keyed by
+    the float argument, for cdf_gfas and pdf_gfas alike. The error-bound
+    points of a curve average over one distribution on one grid of panels,
+    so they share one evaluation per node and per panel edge; even the
+    panel that holds a point's kink is a whole grid panel, interpolated
+    across the kink, so no value is a single point's own. Values are pure
+    functions of (instance, argument): a hit returns the bits a fresh
+    evaluation would. The memo stops growing at _MEMO_ENTRIES pairs and
+    lives as long as the instance, so sweeps over t, SNR or user count
+    should go through a single instance.
 
     The reference scale is channel_variance = 2: evaluations at a general
     sigma^2 map the argument through t' = 2 t / sigma^2 (and densities pick
@@ -100,24 +101,19 @@ class GainDistribution:
         return tuple(sorted(Counter(self.model.block_sizes).items()))
 
     @cached_property
-    def _memo(self) -> tuple:
-        # (cdf by t, pdf by t); see the class docstring.
-        return {}, {}
+    def _memo(self) -> dict:
+        # (cdf, pdf) pairs by t; see the class docstring.
+        return {}
 
 
-# Most values each memo of a GainDistribution keeps (1.4 MB when full).
-# Every default bler-vs-* curve evaluates at most 384 densities per
-# distribution (bler-vs-w; 336 for the 20 points of bler-vs-u); one
-# error-bound point at large blocklength and high SNR can evaluate
-# thousands (372 panels of 24 nodes for one port at U = 1, M = 1000 and
-# 60 dB, where the kink lies far below the bulk).
+# Most (CDF, density) pairs the memo of a GainDistribution keeps (2.7 MB
+# when full). Every default bler-vs-* curve evaluates at most 404 per
+# distribution (bler-vs-w; 351 for the 20 points of bler-vs-u, 200 for
+# dist); one error-bound point at large blocklength and high SNR can
+# evaluate thousands (9,441, on 372 panels of 24 nodes and 513 edges, for
+# one port at U = 1, M = 1000 and 60 dB, where the kink lies far below the
+# bulk).
 _MEMO_ENTRIES = 1 << 14
-
-
-def _remember(memo: dict, key: float, value: float) -> float:
-    if len(memo) < _MEMO_ENTRIES:
-        memo[key] = value
-    return value
 
 
 def _checked_t(t, allow_zero: bool):
@@ -223,14 +219,11 @@ def _latent_split(x: float, lam_rate: float, size: int, order: int):
     return base, s * s, weights
 
 
-def _tabulate(family: Ncx2Family, x: float, density: bool):
-    return family.tails(x), (family.pdf(x) if density else None)
+def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule, laguerre_family):
+    """G_L(x) and dG_L/dx for each L in sizes, as two lists.
 
-
-def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
-                   laguerre_family, density: bool):
-    """G_L(x) for each L in sizes and, when density is set, dG_L/dx.
-
+    The slopes read the Poisson row each family kept from its CDF, so they
+    cost one matrix-vector product per family and move no bit of the values.
     A size-1 block cannot select, so its factor is the exponential marginal
     1 - exp(-x / (lam + 2)) in closed form. laguerre_family is a callable
     returning the Ncx2Family on the Gauss-Laguerre nodes, called only if
@@ -250,23 +243,43 @@ def _block_factors(x: float, lam_rate: float, sizes, rule: QuadratureRule,
         plan = _latent_split(x, lam_rate, size, rule.order)
         if plan is None:
             if laguerre is None:
-                laguerre = _tabulate(laguerre_family(), x, density)
+                family = laguerre_family()
+                laguerre = family.tails(x), family.pdf(x)
             base, weights, (cdfs, dens) = 0.0, rule.weights, laguerre
         else:
             base, lams, weights = plan
-            cdfs, dens = _tabulate(Ncx2Family(lams), x, density) if lams.size else (lams, lams)
+            cdfs = dens = lams
+            if lams.size:
+                family = Ncx2Family(lams)
+                cdfs, dens = family.tails(x), family.pdf(x)
         powm1 = cdfs ** (size - 1)
         values.append(min(base + float(np.dot(weights, powm1 * cdfs)), 1.0))
-        if density:
-            slopes.append(size * float(np.dot(weights, powm1 * dens)))
+        slopes.append(size * float(np.dot(weights, powm1 * dens)))
     return values, slopes
 
 
-def _cdf_from_factors(dist: GainDistribution, factors) -> float:
-    out = 1.0
-    for factor, (_size, count) in zip(factors, dist._size_counts):
-        out *= factor ** count
-    return min(max(out, 0.0), 1.0)
+def _evaluate(dist: GainDistribution, t: float) -> tuple:
+    """(CDF, density) of the max-port gain at finite t > 0 from one pass of
+    block factors, remembered as one pair (see GainDistribution)."""
+    memo = dist._memo
+    pair = memo.get(t)
+    if pair is not None:
+        return pair
+    sizes = dist._size_counts
+    G, D = _block_factors(t * dist._xscale, dist._lam_rate, [s for s, _ in sizes],
+                          dist.rule, lambda: dist._family)
+    cdf, density = 1.0, 0.0
+    for i, (_size, count) in enumerate(sizes):
+        cdf *= G[i] ** count
+        term = count * D[i] * G[i] ** (count - 1)
+        for j, (_s, cj) in enumerate(sizes):
+            if j != i:
+                term *= G[j] ** cj
+        density += term
+    pair = min(max(cdf, 0.0), 1.0), max(density * dist._xscale, 0.0)
+    if len(memo) < _MEMO_ENTRIES:
+        memo[t] = pair
+    return pair
 
 
 def cdf_gfas(dist: GainDistribution, t) -> float:
@@ -276,14 +289,7 @@ def cdf_gfas(dist: GainDistribution, t) -> float:
         return 0.0
     if math.isinf(t):
         return 1.0
-    memo = dist._memo[0]
-    value = memo.get(t)
-    if value is not None:
-        return value
-    sizes = [size for size, _ in dist._size_counts]
-    factors, _ = _block_factors(t * dist._xscale, dist._lam_rate, sizes, dist.rule,
-                                lambda: dist._family, density=False)
-    return _remember(memo, t, _cdf_from_factors(dist, factors))
+    return _evaluate(dist, t)[0]
 
 
 def pdf_gfas(dist: GainDistribution, t) -> float:
@@ -291,22 +297,7 @@ def pdf_gfas(dist: GainDistribution, t) -> float:
     t = _checked_t(t, allow_zero=False)
     if math.isinf(t):
         raise ValueError("gain argument must be finite")
-    memo = dist._memo[1]
-    value = memo.get(t)
-    if value is not None:
-        return value
-    sizes = dist._size_counts
-    G, D = _block_factors(t * dist._xscale, dist._lam_rate, [s for s, _ in sizes],
-                          dist.rule, lambda: dist._family, density=True)
-
-    total = 0.0
-    for i, (_size, count) in enumerate(sizes):
-        term = count * D[i] * G[i] ** (count - 1)
-        for j, (_s, cj) in enumerate(sizes):
-            if j != i:
-                term *= G[j] ** cj
-        total += term
-    return _remember(memo, t, max(total * dist._xscale, 0.0))
+    return _evaluate(dist, t)[1]
 
 
 def quantile(dist: GainDistribution, p) -> float:
@@ -368,7 +359,7 @@ def block_cdf_factor(mu2, size, t, rule: QuadratureRule | None = None) -> float:
     if rule is None:
         rule = gauss_laguerre(32)
     factors, _ = _block_factors(x, lam_rate, [size], rule,
-                                lambda: Ncx2Family(lam_rate * rule.nodes), density=False)
+                                lambda: Ncx2Family(lam_rate * rule.nodes))
     return factors[0]
 
 

@@ -301,10 +301,11 @@ def _clamped_average(config: SystemConfig, variance, cdf, density, per_efold) ->
 def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
     """Average clamped union bound E[min(h(G), 1)] over the FAS gain distribution.
 
-    Summed by _clamped_average from cdf_gfas and pdf_gfas of dist, whose
-    memo the points of a curve share: they read one grid of panel edges and
-    nodes, the panel that holds a point's kink included, and differ only in
-    which panels they sum.
+    Summed by _clamped_average from cdf_gfas and pdf_gfas of dist. Both
+    read dist's one memo of (CDF, density) pairs, which the points of a
+    curve share: they read one grid of panel edges and nodes, the panel
+    that holds a point's kink included, and differ only in which panels
+    they sum.
     """
     _check_consistent(config, dist)
     return _clamped_average(config, dist.channel_variance, lambda t: cdf_gfas(dist, t),

@@ -260,8 +260,8 @@ class Ncx2Family:
     ln k! read from a shared table. Each abscissa then costs one Poisson pmf
     row in k (kmax+1 exponentials) plus one matrix-vector product for the
     CDF and one for the density. The family keeps its last row, so pdf(x)
-    right after tails(x), as the gain density asks for them, builds no
-    second row.
+    right after tails(x), as every evaluation of the gain law asks for
+    them, builds no second row.
 
     The CDF mixes the upper Poisson tails P(N_y > k), a reverse cumulative
     sum of positive terms with the mass beyond the window supplied by

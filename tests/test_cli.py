@@ -139,6 +139,23 @@ class TestDistCommand:
             assert 0.0 <= row[1] <= 1.0 and row[2] >= 0.0
             assert math.isnan(row[3]) and math.isnan(row[4])
 
+    def test_default_grid_evaluates_the_gain_law_once_per_point(self, capsys, monkeypatch):
+        # the density column reads the (CDF, density) pairs that the CDF
+        # column left in the distribution's memo: 200 block-factor passes
+        # for the 200 grid points, against 400 when each column evaluated
+        # its own
+        abscissas = Counter()
+        block_factors = fas_stats._block_factors
+
+        def counted(x, *rest, **kwargs):
+            abscissas[x] += 1
+            return block_factors(x, *rest, **kwargs)
+
+        monkeypatch.setattr(fas_stats, "_block_factors", counted)
+        code, out, _ = run_cli(capsys, ["dist"])
+        assert code == 0 and len(parse_csv(out)[2]) == 200
+        assert len(abscissas) == 200 and set(abscissas.values()) == {1}
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["dist", "--t-min", "5", "--t-max", "1"])
         assert code == 2
@@ -241,25 +258,28 @@ class TestSweepCommands:
             deepest = max(map(len, alone))
             assert len(mine) <= deepest + metrics._PANEL_ORDER + 1
 
-    @pytest.mark.parametrize("subcommand, cap", [("bler-vs-u", 336), ("bler-vs-snr", 192)])
+    @pytest.mark.parametrize("subcommand, cap", [("bler-vs-u", 351), ("bler-vs-snr", 201)])
     def test_default_error_bound_curves_cap_their_densities(self, capsys, monkeypatch,
                                                             subcommand, cap):
         # the default curves (20 and 16 points) read one shared grid of
-        # panels per distribution; when each point also evaluated a panel
-        # of its own at its kink, bler-vs-u took 792 and 648 densities per
-        # distribution and bler-vs-snr 552, 552 and 504, and the benchmark's
-        # two-point curves did not show it
-        densities = Counter()
+        # panels per distribution, and one evaluation of the gain law gives
+        # both the density at a node and the CDF at an edge: the caps are
+        # the densities plus CDFs that bler-vs-u and bler-vs-snr took when
+        # the two were evaluated apart (336 + 15 and 192 + 9). When each
+        # point also evaluated a panel of its own at its kink, bler-vs-u
+        # took 792 and 648 densities per distribution and bler-vs-snr 552,
+        # 552 and 504, and the benchmark's two-point curves did not show it
+        evaluations = Counter()
         block_factors = fas_stats._block_factors
 
-        def counted(x, lam_rate, sizes, *rest, density):
-            densities[lam_rate, tuple(sizes)] += density
-            return block_factors(x, lam_rate, sizes, *rest, density=density)
+        def counted(x, lam_rate, sizes, *rest, **kwargs):
+            evaluations[lam_rate, tuple(sizes)] += 1
+            return block_factors(x, lam_rate, sizes, *rest, **kwargs)
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted)
         code, _, _ = run_cli(capsys, [subcommand])
         assert code == 0
-        assert densities and max(densities.values()) <= cap
+        assert evaluations and max(evaluations.values()) <= cap
 
     def test_only_monte_carlo_chunks_leave_the_main_thread(self, capsys, monkeypatch):
         # FBLFAS_THREADS = T starts at most T threads: the channels run one

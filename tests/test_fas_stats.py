@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fblfas import fas_stats
+from fblfas import fas_stats, metrics
 from fblfas.channel import BlockModel, build_correlation, fit_block_model
 from fblfas.fas_stats import (
     GainDistribution,
@@ -295,6 +295,33 @@ class TestPdfGfas:
             pdf = pdf_gfas(dist, t)
             assert abs(fd - pdf) <= 1e-3 * max(pdf, 1e-12), f"t={t}"
 
+    @pytest.mark.parametrize("mu2, bound", [(0.453, 1.3e-8), (0.97, 4.1e-10)])
+    def test_panel_integrals_match_cdf_differences(self, mu2, bound):
+        # the error-bound average (metrics._clamped_average) takes the CDF
+        # at panel edges and the density on 24 Gauss-Legendre nodes in ln t
+        # between them, so the two must agree panel by panel. At N = 33,
+        # W = 0.96 and M = 25 (two panels per e-fold) the worst relative
+        # gap over panels holding more than 1e-6 of the mass measured
+        # 1.30e-9 at mu^2 = 0.453 and 4.1e-11 at 0.97, both on the upper
+        # tail where F(t_(j+1)) - F(t_j) cancels near 1, and the same at
+        # order 64; the bounds are ten times that. Order 16 reached 5.7e-3
+        # and order 8 1.0 at mu^2 = 0.453
+        model = fit_block_model(build_correlation(33, 0.96), mu2)
+        dist = GainDistribution(model=model, channel_variance=2.0, rule=gauss_laguerre(32))
+        per_efold = 2
+        rule = fas_stats._panel_rule(metrics._PANEL_ORDER)
+        offsets = 0.5 + 0.5 * rule.nodes
+        weights = (0.5 / per_efold) * rule.weights
+        gaps = []
+        for j in range(-40, 12):
+            mass = (cdf_gfas(dist, 2.0 * math.exp((j + 1) / per_efold))
+                    - cdf_gfas(dist, 2.0 * math.exp(j / per_efold)))
+            if mass > 1e-6:
+                nodes = 2.0 * np.exp((j + offsets) / per_efold)
+                ft = [pdf_gfas(dist, float(t)) * t for t in nodes]
+                gaps.append(abs(float(np.dot(weights, ft)) - mass) / mass)
+        assert len(gaps) >= 7 and max(gaps) <= bound
+
     def test_normalizes(self):
         from fblfas.quadrature import integrate_adaptive
 
@@ -343,8 +370,9 @@ class TestQuantile:
 
 
 class TestMemo:
-    """Each GainDistribution remembers what cdf_gfas and pdf_gfas return; a
-    remembered value must be the bits a fresh instance computes."""
+    """Each GainDistribution remembers one (CDF, density) pair per argument
+    that cdf_gfas or pdf_gfas evaluates; a remembered value must be the bits
+    a fresh instance computes."""
 
     GRID = [float(t) for t in np.geomspace(0.01, 40.0, 25)]
 
@@ -372,15 +400,39 @@ class TestMemo:
                 for fn in order:
                     assert fn(dist, t) == fn(self.fresh(dist), t), (fn.__name__, t)
             assert quantile(dist, 0.9) == quantile(self.fresh(dist), 0.9)
-        cdfs, pdfs = dist._memo
-        assert set(self.GRID) <= set(cdfs) and set(pdfs) == set(self.GRID)
+        assert set(self.GRID) <= set(dist._memo)
+        for t in self.GRID:
+            assert dist._memo[t] == (cdf_gfas(self.fresh(dist), t),
+                                     pdf_gfas(self.fresh(dist), t))
+
+    @pytest.mark.parametrize("mu2", [0.1, 0.97])
+    @pytest.mark.parametrize("first, second", [(cdf_gfas, pdf_gfas), (pdf_gfas, cdf_gfas)])
+    def test_one_evaluation_gives_both_values(self, monkeypatch, mu2, first, second):
+        # the block factors run once per abscissa, whichever value is asked
+        # for first; the other is read from the pair it left in the memo
+        dist = reference_distribution(mu2=mu2)
+        abscissas = []
+        block_factors = fas_stats._block_factors
+
+        def counted(x, *rest, **kwargs):
+            abscissas.append(x)
+            return block_factors(x, *rest, **kwargs)
+
+        monkeypatch.setattr(fas_stats, "_block_factors", counted)
+        for t in self.GRID:
+            first(dist, t)
+            assert len(abscissas) == 1
+            second(dist, t)
+            assert len(abscissas) == 1, (first.__name__, t)
+            abscissas.clear()
 
     def test_cap_is_respected(self, monkeypatch):
         monkeypatch.setattr(fas_stats, "_MEMO_ENTRIES", 4)
         dist = reference_distribution()
-        for t in self.GRID[:10]:
-            assert pdf_gfas(dist, t) == pdf_gfas(self.fresh(dist), t)
-            assert cdf_gfas(dist, t) == cdf_gfas(self.fresh(dist), t)
+        for i, t in enumerate(self.GRID[:10]):
+            order = (pdf_gfas, cdf_gfas) if i % 2 else (cdf_gfas, pdf_gfas)
+            for fn in order:
+                assert fn(dist, t) == fn(self.fresh(dist), t)
         for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             assert quantile(dist, p) == quantile(self.fresh(dist), p)
-        assert [len(memo) for memo in dist._memo] == [4, 4]
+        assert list(dist._memo) == self.GRID[:4]

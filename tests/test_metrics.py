@@ -423,11 +423,11 @@ class TestStatisticalBler:
 
     def test_points_of_one_distribution_share_densities(self):
         # the panel edges depend only on sigma^2 and M, so a second SNR
-        # reads the first one's densities and computes only the panels it
-        # adds below them; the panel that holds its kink is a whole grid
-        # panel too (here it adds none of its 144 densities; 24 when it
-        # cut that panel on nodes of its own, and all 144 without the
-        # shared grid)
+        # reads the first one's densities and edge CDFs, all from one memo
+        # of (CDF, density) pairs, and computes only the panels it adds
+        # below them; the panel that holds its kink is a whole grid panel
+        # too (here it adds none of its 144 densities; 24 when it cut that
+        # panel on nodes of its own, and all 144 without the shared grid)
         dist = self.fitted(50, 1.0, 0.5)
 
         def at(snr_db):
@@ -435,9 +435,9 @@ class TestStatisticalBler:
                 ports=50, antenna_length=1.0, users=10, blocklength=5, snr_db=snr_db), dist)
 
         first = at(20.0)
-        one = len(dist._memo[1])
+        one = dict(dist._memo)
         assert at(36.0) < first
-        assert len(dist._memo[1]) == one
+        assert dist._memo == one
 
     def test_rejects_mismatched_config(self):
         cfg = single_port_config(ports=3)
