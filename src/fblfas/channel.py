@@ -298,17 +298,24 @@ def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
     found reaches thr. ||T||_F^2 = N r_0^2 + 2 sum_k (N - k) r_k^2 is exact
     in O(N). Otherwise p doubles: the next block is the current Ritz vectors
     times the matrix (one subspace-iteration step) plus p fresh random
-    columns. The dense eigenvalues are returned instead once 2p >= N (tiny
-    N), or once N / 8 Ritz values reach thr: as many eigenvalues do, so
-    certifying needs blocks of N / 4 columns or more, and one step on those
-    costs about half the dense eigvalsh already (N = 1000 to 3000, one
-    thread). That cuts short spectra without a plunge (W near (N - 1) / 2,
+    columns. The dense eigenvalues are returned instead where N / 8 or
+    more eigenvalues are expected to reach thr: certifying them needs
+    blocks of N / 4 columns or more, and one step on those costs about half
+    the dense eigvalsh already (N = 1000 to 3000, one thread). The
+    participation ratio (N r_0)^2 / ||T||_F^2 estimates their count up
+    front (within 0.4 of 2W + 1 on sinc rows), so such a spectrum goes
+    dense before any step (at N = 2000, W = 200 a first step would make the
+    fit 1.17 s against 0.74 s). The count of Ritz values reaching
+    thr backs the estimate up after each step, and tiny N (2p >= N) go
+    dense too, as do spectra without a plunge (W near (N - 1) / 2,
     near-identity rows).
     """
     n = row.size
     r0 = float(row[0])
-    spectrum = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]])).real[:, None]
     frobenius2 = n * r0 * r0 + 2.0 * float(np.dot(np.arange(n - 1, 0, -1), row[1:] ** 2))
+    if _DENSE_SHARE * (n * r0) ** 2 >= n * frobenius2:
+        return np.linalg.eigvalsh(_toeplitz(row))[::-1]
+    spectrum = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]])).real[:, None]
 
     def apply(x):
         return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * spectrum, 2 * n, axis=0)[:n]

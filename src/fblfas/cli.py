@@ -39,13 +39,7 @@ import numpy as np
 from . import __version__, parallel
 from .channel import BlockModel, SystemConfig, build_correlation, fit_block_model
 from .errors import NumericError
-from .fas_stats import (
-    GainDistribution,
-    block_cdf_factor,
-    block_cdf_factor_adaptive,
-    cdf_gfas,
-    pdf_gfas,
-)
+from .fas_stats import GainDistribution, _evaluate, block_cdf_factor, block_cdf_factor_adaptive
 from .metrics import mrc_outage, mrc_statistical_bler, outage_probability, statistical_bler
 from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler_sweep
 from .quadrature import gauss_laguerre
@@ -200,8 +194,7 @@ def _cmd_dist(args) -> PerformanceCurve:
     grid = _t_grid(args)
     dist = _gain_distribution(args.ports, args.width, args.mu2, args.sigma2,
                               args.quad_order)
-    cdf = tuple(cdf_gfas(dist, float(t)) for t in grid)
-    pdf = tuple(pdf_gfas(dist, float(t)) for t in grid)
+    cdf, pdf = (tuple(column.tolist()) for column in _evaluate(dist, grid.tolist()))
     cdf_mc = cdf_mc_se = (math.nan,) * grid.size
     if args.ports <= MAX_MC_PORTS:
         ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
@@ -372,11 +365,10 @@ def _add_common(sub):
     sub.add_argument("--sigma2", type=float, default=2.0,
                      help="channel variance per port (default 2)")
     sub.add_argument("--quad-order", type=int, default=32,
-                     help="latent-variable rule order (default 32): the Gauss-Laguerre "
-                          "node count where that rule resolves a block's bracket, else "
-                          "twice the node count of each of the split rule's (at most "
-                          "four) Gauss-Legendre panels; below 32 the CDF and the density "
-                          "can disagree (by up to 6e-3 of a panel's mass at 16, 100%% at 8)")
+                     help="Gauss-Laguerre order of the latent-variable rule (default 32), "
+                          "used where it resolves a block's bracket; elsewhere the split "
+                          "rule's (at most four) Gauss-Legendre panels have 16 nodes at "
+                          "every order, so at strong correlation the order changes no value")
     sub.add_argument("--config", metavar="PATH",
                      help="flat key=value file supplying defaults")
     sub.add_argument("--out", metavar="PATH",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import parallel
 from .channel import SystemConfig
-from .fas_stats import GainDistribution, _panel_rule, cdf_gfas, pdf_gfas
+from .fas_stats import GainDistribution, _evaluate, _panel_rule, cdf_gfas
 from .specfun import _poisson_tails
 
 # Each cut of _clamped_average (the head, the top edge, the tail bound's
@@ -301,15 +301,16 @@ def _clamped_average(config: SystemConfig, variance, cdf, density, per_efold) ->
 def statistical_bler(config: SystemConfig, dist: GainDistribution) -> float:
     """Average clamped union bound E[min(h(G), 1)] over the FAS gain distribution.
 
-    Summed by _clamped_average from cdf_gfas and pdf_gfas of dist. Both
-    read dist's one memo of (CDF, density) pairs, which the points of a
-    curve share: they read one grid of panel edges and nodes, the panel
-    that holds a point's kink included, and differ only in which panels
-    they sum.
+    Summed by _clamped_average from cdf_gfas of dist at the panel edges
+    and its densities on each panel's nodes, evaluated as one batch
+    (fas_stats._evaluate). Both read dist's one memo of (CDF, density)
+    pairs, which the points of a curve share: they read one grid of panel
+    edges and nodes, the panel that holds a point's kink included, and
+    differ only in which panels they sum.
     """
     _check_consistent(config, dist)
     return _clamped_average(config, dist.channel_variance, lambda t: cdf_gfas(dist, t),
-                            lambda t: np.array([pdf_gfas(dist, x) for x in t]), 1)
+                            lambda t: _evaluate(dist, t.tolist())[1], 1)
 
 
 def codeword_correlation(blocklength) -> float:

@@ -5,7 +5,9 @@ tails of a Poisson count, which are the regularized incomplete gamma
 functions of integer order, the first-order Marcum Q function, the
 distribution function of the 2-degree-of-freedom noncentral chi-square
 law, and Ncx2Family, which gives the distribution function and density of
-many such laws at one abscissa from shared Poisson tables. The
+many such laws at one abscissa from shared Poisson tables. Its tables and
+those of the split rule in fas_stats are formed by _poisson_table;
+marcum_q1, the path of the adaptive oracle, forms its own. The
 correlation regimes of interest push the noncentrality to a few tens of
 thousands, so all probabilities are assembled from sums of positive terms
 with the seeds of those sums carried in log space; nothing in this module
@@ -250,18 +252,47 @@ def _log_factorial_table(count: int) -> np.ndarray:
     return table[:count]
 
 
+def _poisson_table(log_means, means, k, lgk):
+    """Poisson pmfs exp(k ln m - m - ln k!) as a (..., rows, counts) array.
+
+    log_means and means (ln m and m, shape (..., rows)) give the rows, the
+    counts k and their log-factorials lgk (shape (..., counts)) the columns.
+    The exponent is the product of the rows (ln m, -m, -1) with the columns
+    (k, 1, ln k!). Summed in that order it rounds as the three operations
+    k ln m, then - m, then - ln k! would, the other factors being 1 and -1,
+    and as a matrix product it costs a fraction of those broadcast
+    operations (0.3 against 2 ns an entry for 16-row tables).
+    """
+    rows = np.empty(np.shape(means) + (3,))
+    rows[..., 0] = log_means
+    np.negative(means, out=rows[..., 1])
+    rows[..., 2] = -1.0
+    cols = np.empty(np.shape(k)[:-1] + (3,) + np.shape(k)[-1:])
+    cols[..., 0, :] = k
+    cols[..., 1, :] = 1.0
+    cols[..., 2, :] = lgk
+    # BLAS's matrix-matrix product sums the three terms in order; a one-row
+    # product goes to its matrix-vector kernel, which does not, so a single
+    # row takes einsum's sum, in order too
+    out = (np.matmul(rows, cols) if rows.shape[-2] > 1
+           else np.einsum("...it,...tk->...ik", rows, cols))
+    return np.exp(out, out=out)
+
+
 class Ncx2Family:
     """A fixed family of 2-dof noncentral chi-square laws evaluated jointly.
 
-    The gain-distribution quadrature needs F(x; lam_i) at one shared
-    abscissa for every quadrature node's noncentrality lam_i. The Poisson
+    The Gauss-Laguerre rule of the gain distribution needs F(x; lam_i) at
+    many abscissas for the same node noncentralities lam_i. The Poisson
     mixture weights P(N_wi = k) depend only on the lam_i, so they are built
-    once here as a dense (len(lams), kmax+1) matrix, in one buffer, with
+    once here as a dense (len(lams), kmax+1) matrix by _poisson_table, with
     ln k! read from a shared table. Each abscissa then costs one Poisson pmf
     row in k (kmax+1 exponentials) plus one matrix-vector product for the
     CDF and one for the density. The family keeps its last row, so pdf(x)
     right after tails(x), as every evaluation of the gain law asks for
-    them, builds no second row.
+    them, builds no second row. (The split rule's nodes move with x, so
+    fas_stats tabulates them per abscissa, over each panel's band only,
+    with the same arithmetic.)
 
     The CDF mixes the upper Poisson tails P(N_y > k), a reverse cumulative
     sum of positive terms with the mass beyond the window supplied by
@@ -286,14 +317,9 @@ class Ncx2Family:
                 "reduce the correlation parameter or the quadrature order"
             )
         self._kmax = hi
-        k = np.arange(hi + 1, dtype=float)
-        self._k = k
+        self._k = np.arange(hi + 1, dtype=float)
         self._lgk = _log_factorial_table(hi + 1)
-        # exp(k ln m - m - ln k!), one operation at a time in one buffer
-        mix = np.multiply(k[None, :], np.log(np.maximum(means, 1e-300))[:, None])
-        np.subtract(mix, means[:, None], out=mix)
-        np.subtract(mix, self._lgk, out=mix)
-        self._mix = np.exp(mix, out=mix)
+        self._mix = _poisson_table(np.log(np.maximum(means, 1e-300)), means, self._k, self._lgk)
         self._last_row = (math.nan, None)  # no row yet; NaN equals no x
 
     def _pmf_y(self, x):
@@ -304,10 +330,8 @@ class Ncx2Family:
         if x == last_x:
             return row
         y = 0.5 * x
-        row = np.multiply(self._k, math.log(max(y, 1e-300)))
-        np.subtract(row, y, out=row)
-        np.subtract(row, self._lgk, out=row)
-        np.exp(row, out=row)
+        row = _poisson_table(np.array([math.log(max(y, 1e-300))]), np.array([y]), self._k,
+                             self._lgk)[0]
         row.flags.writeable = False
         self._last_row = (x, row)
         return row

@@ -230,6 +230,37 @@ class TestFitBlockModel:
         assert model.block_count == 4
         assert model.ports == 100_000
 
+    def test_wide_spectrum_goes_dense_before_any_block_step(self, monkeypatch):
+        # at N = 2000, W = 200 about 2W + 1 = 401 eigenvalues are
+        # significant, over N / 8: certifying them would need blocks of
+        # N / 4 columns or more, and the fit goes dense without forming one
+        # (it formed 1,024 columns first, taking 1.17 s against 0.74 s);
+        # at W = 100 it still certifies the block model without the dense
+        # solve
+        widths, dense = [], []
+        qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
+
+        def recorded_qr(a, *args, **kwargs):
+            widths.append(a.shape[1])
+            return qr(a, *args, **kwargs)
+
+        def recorded_eigvalsh(a, *args, **kwargs):
+            dense.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+        corr = build_correlation(2000, 200.0)
+        model = fit_block_model(corr, 0.97)
+        assert max(widths, default=0) < 2000 // 4 and dense == [2000]
+        vals = eigvalsh(linalg.toeplitz(corr.first_row))[::-1]
+        threshold = max(1e-2 * vals[0], vals.sum() / 2000)
+        assert model.block_count == int(np.sum(vals >= threshold * (1.0 - 1e-9)))
+        widths.clear()
+        dense.clear()
+        fit_block_model(build_correlation(2000, 100.0), 0.97)
+        assert widths and not dense
+
     def test_mu2_validation(self):
         corr = build_correlation(10, 0.5)
         for bad in (0.0, 1.0, -0.5, 1.5):

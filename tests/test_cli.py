@@ -140,15 +140,14 @@ class TestDistCommand:
             assert math.isnan(row[3]) and math.isnan(row[4])
 
     def test_default_grid_evaluates_the_gain_law_once_per_point(self, capsys, monkeypatch):
-        # the density column reads the (CDF, density) pairs that the CDF
-        # column left in the distribution's memo: 200 block-factor passes
-        # for the 200 grid points, against 400 when each column evaluated
-        # its own
+        # both columns come from one evaluation per grid point: 200
+        # abscissas enter the block-factor kernel for the 200 points,
+        # against 400 when each column evaluated its own
         abscissas = Counter()
         block_factors = fas_stats._block_factors
 
         def counted(x, *rest, **kwargs):
-            abscissas[x] += 1
+            abscissas.update(x.tolist())
             return block_factors(x, *rest, **kwargs)
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted)
@@ -226,7 +225,7 @@ class TestSweepCommands:
         block_factors, distribution = fas_stats._block_factors, cli._gain_distribution
 
         def counted_factors(x, lam_rate, sizes, *rest, **kwargs):
-            evaluations[lam_rate, tuple(sizes), x] += 1
+            evaluations.update((lam_rate, tuple(sizes), v) for v in x.tolist())
             return block_factors(x, lam_rate, sizes, *rest, **kwargs)
 
         def remembered(ports, *rest):
@@ -268,12 +267,14 @@ class TestSweepCommands:
         # the two were evaluated apart (336 + 15 and 192 + 9). When each
         # point also evaluated a panel of its own at its kink, bler-vs-u
         # took 792 and 648 densities per distribution and bler-vs-snr 552,
-        # 552 and 504, and the benchmark's two-point curves did not show it
+        # 552 and 504, and the benchmark's two-point curves did not show it.
+        # The count is of abscissas entering the block-factor kernel, which
+        # takes a panel's 24 at once
         evaluations = Counter()
         block_factors = fas_stats._block_factors
 
         def counted(x, lam_rate, sizes, *rest, **kwargs):
-            evaluations[lam_rate, tuple(sizes)] += 1
+            evaluations[lam_rate, tuple(sizes)] += len(x)
             return block_factors(x, lam_rate, sizes, *rest, **kwargs)
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted)

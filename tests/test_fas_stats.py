@@ -126,10 +126,11 @@ class TestBlockFactor:
         # the table and the pmf row, the CDF from a whole reverse cumulative
         # sum and a second row for the density, reading ln k! from the shared
         # table and the mass beyond the window from _poisson_tails as the
-        # family does. On the families the block factors build at mu2 = 0.97
-        # (the split rule's, with kmax from about 40 to about 1,300, and the
-        # Laguerre nodes', reused across abscissas) the family's CDF and its
-        # density, read from the row tails kept, equal it bit for bit.
+        # family does. On the Laguerre nodes' family at mu2 = 0.97, reused
+        # across abscissas, and on families of the split rule's nodes there
+        # (kmax from about 40 to about 1,300) the family's CDF and its
+        # density, read from the row tails kept, equal it bit for bit: the
+        # table's matrix product rounds as the three operations do.
         def former(lams, x):
             means = 0.5 * lams
             k = np.arange(_poisson_window(float(means.max()))[1] + 1, dtype=float)
@@ -150,8 +151,8 @@ class TestBlockFactor:
         cases = [(x, laguerre) for x in (5.0, 1500.0, 5.0)]
         for x in np.geomspace(5.0, 1500.0, 7):
             for size in (2, 5, 31, 120, 497):
-                _, lams, _ = fas_stats._latent_split(float(x), lam_rate, size, 32)
-                cases.append((float(x), Ncx2Family(lams)))
+                _, _, s, _, _ = fas_stats._split_plan(np.array([x]), lam_rate, size, 32)
+                cases.append((float(x), Ncx2Family((s * s).ravel())))
         for x, family in cases:
             cdf, pdf = former(family.lams, x)
             assert np.array_equal(family.tails(x), cdf), x
@@ -196,6 +197,28 @@ class TestCdfGfas:
         for t in (0.5, 2.0, 7.0):
             want = block_cdf_factor(0.6, 3, t) * block_cdf_factor(0.6, 2, t)
             assert cdf_gfas(dist, t) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("order, bound", [(8, 5.5e-9), (16, 3.0e-10)])
+    def test_low_orders_match_order_128(self, order, bound):
+        # the split rule's panels have _PANEL_NODES nodes whatever the
+        # order, which sets only the Laguerre rule and where it is kept.
+        # Over mu2 0.1-0.97, N = 10 and 200 and t 0.01-60 the CDF errs by up
+        # to 5.5e-10 relative at order 8 and 3.0e-11 at order 16, at weak
+        # correlation, where the Laguerre rule is kept (bounds ten times
+        # that); panels of order // 2 nodes erred by 1.2e-1 and 1.5e-5
+        grid = [float(t) for t in np.geomspace(0.01, 60.0, 40)]
+        worst = 0.0
+        for ports in (10, 200):
+            corr = build_correlation(ports, 0.5)
+            for mu2 in (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.97):
+                model = fit_block_model(corr, mu2)
+                low = GainDistribution(model=model, rule=gauss_laguerre(order))
+                high = GainDistribution(model=model, rule=gauss_laguerre(128))
+                for t in grid:
+                    want = cdf_gfas(high, t)
+                    gap = abs(cdf_gfas(low, t) - want)
+                    worst = max(worst, gap / want if want else gap)  # some underflow to 0
+        assert worst <= bound
 
     def test_scale_consistency(self):
         # sigma^2-general evaluation equals the sigma^2 = 2 reference at 2t/sigma^2
@@ -295,19 +318,13 @@ class TestPdfGfas:
             pdf = pdf_gfas(dist, t)
             assert abs(fd - pdf) <= 1e-3 * max(pdf, 1e-12), f"t={t}"
 
-    @pytest.mark.parametrize("mu2, bound", [(0.453, 1.3e-8), (0.97, 4.1e-10)])
-    def test_panel_integrals_match_cdf_differences(self, mu2, bound):
-        # the error-bound average (metrics._clamped_average) takes the CDF
-        # at panel edges and the density on 24 Gauss-Legendre nodes in ln t
-        # between them, so the two must agree panel by panel. At N = 33,
-        # W = 0.96 and M = 25 (two panels per e-fold) the worst relative
-        # gap over panels holding more than 1e-6 of the mass measured
-        # 1.30e-9 at mu^2 = 0.453 and 4.1e-11 at 0.97, both on the upper
-        # tail where F(t_(j+1)) - F(t_j) cancels near 1, and the same at
-        # order 64; the bounds are ten times that. Order 16 reached 5.7e-3
-        # and order 8 1.0 at mu^2 = 0.453
+    @staticmethod
+    def panel_gaps(mu2, order):
+        # worst relative gap, over the panels of two per e-fold holding more
+        # than 1e-6 of the mass, between a panel's CDF difference and the
+        # integral of the density on its 24 Gauss-Legendre nodes in ln t
         model = fit_block_model(build_correlation(33, 0.96), mu2)
-        dist = GainDistribution(model=model, channel_variance=2.0, rule=gauss_laguerre(32))
+        dist = GainDistribution(model=model, channel_variance=2.0, rule=gauss_laguerre(order))
         per_efold = 2
         rule = fas_stats._panel_rule(metrics._PANEL_ORDER)
         offsets = 0.5 + 0.5 * rule.nodes
@@ -320,7 +337,28 @@ class TestPdfGfas:
                 nodes = 2.0 * np.exp((j + offsets) / per_efold)
                 ft = [pdf_gfas(dist, float(t)) * t for t in nodes]
                 gaps.append(abs(float(np.dot(weights, ft)) - mass) / mass)
-        assert len(gaps) >= 7 and max(gaps) <= bound
+        assert len(gaps) >= 7
+        return max(gaps)
+
+    @pytest.mark.parametrize("mu2, bound", [(0.453, 1.3e-8), (0.97, 4.1e-10)])
+    def test_panel_integrals_match_cdf_differences(self, mu2, bound):
+        # the error-bound average (metrics._clamped_average) takes the CDF
+        # at panel edges and the density on 24 Gauss-Legendre nodes in ln t
+        # between them, so the two must agree panel by panel. At N = 33,
+        # W = 0.96 and M = 25 (two panels per e-fold) the worst relative
+        # gap over panels holding more than 1e-6 of the mass measured
+        # 1.30e-9 at mu^2 = 0.453 and 4.1e-11 at 0.97, both on the upper
+        # tail where F(t_(j+1)) - F(t_j) cancels near 1, and the same at
+        # order 64; the bounds are ten times that
+        assert self.panel_gaps(mu2, 32) <= bound
+
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_low_orders_keep_panel_integrals_consistent(self, order):
+        # the split rule's panels have _PANEL_NODES nodes at every order, so
+        # the gap at orders 8 and 16 is order 32's, 1.30e-9 at mu^2 = 0.453
+        # (the bound is ten times that); with panels of order // 2 nodes it
+        # measured 1.0 at order 8 and 5.7e-3 at order 16
+        assert self.panel_gaps(0.453, order) <= 1.3e-8
 
     def test_normalizes(self):
         from fblfas.quadrature import integrate_adaptive
@@ -386,9 +424,9 @@ class TestMemo:
         for mu2, split in ((0.1, False), (0.97, True)):
             dist = reference_distribution(mu2=mu2)
             sizes = [size for size, _ in dist._size_counts if size > 1]
-            plans = [fas_stats._latent_split(t * dist._xscale, dist._lam_rate, size, 32)
-                     for t in self.GRID for size in sizes]
-            assert any((plan is not None) == split for plan in plans), mu2
+            x = np.array(self.GRID) * dist._xscale
+            plans = [fas_stats._split_plan(x, dist._lam_rate, size, 32)[0] for size in sizes]
+            assert any((plan == split).any() for plan in plans), mu2
 
     @pytest.mark.parametrize("mu2", [0.1, 0.97])
     @pytest.mark.parametrize("pdf_first", [False, True])
@@ -415,7 +453,7 @@ class TestMemo:
         block_factors = fas_stats._block_factors
 
         def counted(x, *rest, **kwargs):
-            abscissas.append(x)
+            abscissas.extend(x.tolist())
             return block_factors(x, *rest, **kwargs)
 
         monkeypatch.setattr(fas_stats, "_block_factors", counted)
@@ -436,3 +474,107 @@ class TestMemo:
         for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             assert quantile(dist, p) == quantile(self.fresh(dist), p)
         assert list(dist._memo) == self.GRID[:4]
+
+
+def per_abscissa_factors(x, lam_rate, size):
+    """G_size(x) and its slope by the split rule evaluated alone on an
+    Ncx2Family of the plan's nodes, tabulated from k = 0: the per-abscissa
+    path the array kernel replaced."""
+    split, base, s, weights, first = fas_stats._split_plan(np.array([x]), lam_rate, size, 32)
+    assert split[0]
+    if first[1] == first[0]:
+        return float(base[0]), 0.0
+    family = Ncx2Family((s * s).ravel())
+    cdfs, dens = family.tails(x), family.pdf(x)
+    powm1 = cdfs ** (size - 1)
+    weights = weights.ravel()
+    return (min(float(base[0]) + float(np.dot(weights, powm1 * cdfs)), 1.0),
+            size * float(np.dot(weights, powm1 * dens)))
+
+
+class TestSplitKernel:
+    """The split rule's array kernel (fas_stats._split_plan, _split_factors)."""
+
+    @pytest.mark.parametrize("mu2", [0.5, 0.97])
+    def test_values_do_not_depend_on_the_batch(self, mu2):
+        # every (CDF, density) pair is a pure function of (distribution, t):
+        # the same bits alone, inside an error-bound panel of the shared
+        # grid, inside dist's default grid, and with either batch reversed
+        model = fit_block_model(build_correlation(50, 1.0), mu2)
+
+        def fresh():
+            return GainDistribution(model=model, channel_variance=2.0)
+
+        rule = fas_stats._panel_rule(metrics._PANEL_ORDER)
+        panel = [float(t) for t in 2.0 * np.exp((-3 + 0.5 + 0.5 * rule.nodes) / 2)]
+        grid = [float(t) for t in np.linspace(0.1, 40.0, 200)]
+        batches = [panel, panel[::-1], grid, grid[::-1], panel + grid]
+        for t in panel[::5] + grid[::40]:
+            alone = (cdf_gfas(fresh(), t), pdf_gfas(fresh(), t))
+            for batch in batches:
+                if t in batch:
+                    cdf, pdf = fas_stats._evaluate(fresh(), batch)
+                    i = batch.index(t)
+                    assert (cdf[i], pdf[i]) == alone, (t, len(batch))
+
+    def test_agrees_with_the_per_abscissa_families(self):
+        # mu2 0.1-0.99, block sizes 2-4999 and t from the deep left tail
+        # (factors below 1e-300 and underflowing to 0) to the upper tail:
+        # the values measured equal to the per-abscissa path's bit for bit
+        # (pinned within 1e-15), and the slopes, whose sums run over each
+        # panel's band and not from k = 0, within 9.5e-14 relative (pinned
+        # at 1e-12)
+        for mu2 in (0.1, 0.5, 0.9, 0.97, 0.99):
+            lam_rate = 2.0 * mu2 / (1.0 - mu2)
+            x = np.geomspace(1e-3, 100.0, 30) / (1.0 - mu2)
+            for size in (2, 9, 50, 998, 4999):
+                split = fas_stats._split_plan(x, lam_rate, size, 32)[0]
+                rule = gauss_laguerre(32)
+                G, D = fas_stats._block_factors(x, lam_rate, [size], rule,
+                                                lambda: Ncx2Family(lam_rate * rule.nodes))
+                for i in np.flatnonzero(split):
+                    value, slope = per_abscissa_factors(float(x[i]), lam_rate, size)
+                    assert G[0, i] == pytest.approx(value, rel=1e-15, abs=0.0), (mu2, size, x[i])
+                    assert D[0, i] == pytest.approx(slope, rel=1e-12, abs=0.0), (mu2, size, x[i])
+
+    def test_agrees_with_the_adaptive_oracle(self):
+        # measured within 2.7e-11 relative (at mu2 = 0.99, L = 4999)
+        for mu2, size, t in ((0.5, 2, 0.3), (0.9, 9, 2.0), (0.97, 50, 0.2), (0.99, 4999, 0.5),
+                             (0.97, 9, 30.0)):
+            got = block_cdf_factor(mu2, size, t)
+            want = block_cdf_factor_adaptive(mu2, size, t, tol=1e-12 * got)
+            assert got == pytest.approx(want, rel=3e-10), (mu2, size, t)
+
+    def test_mixed_batch_takes_each_blocks_own_rule(self):
+        # one batch holding an abscissa whose x / 2 underflows to 0, ones
+        # where the size-3 block keeps the plain Laguerre sum while the
+        # size-9 block splits, and one where the size-9 plan has no panel
+        # at all (s_hi <= s_lo: the factor is its closed-form part);
+        # size-1 blocks are the exponential marginal at every abscissa
+        mu2 = 0.5
+        lam_rate = 2.0 * mu2 / (1.0 - mu2)
+        rule = gauss_laguerre(32)
+        family = Ncx2Family(lam_rate * rule.nodes)
+        x = np.array([5e-324, 0.01, 2.0, 40.0, 900.0])
+        split3 = fas_stats._split_plan(x[1:], lam_rate, 3, 32)[0]
+        split9, base9, _, _, first9 = fas_stats._split_plan(x[1:], lam_rate, 9, 32)
+        assert list(split3) == [True, True, False, False] and split9.all()
+        assert np.diff(first9).tolist()[-2:] == [4, 0]
+        G, D = fas_stats._block_factors(x, lam_rate, [1, 3, 9], rule, lambda: family)
+        for i, v in enumerate(x.tolist()):
+            assert G[0, i] == -math.expm1(-v / (lam_rate + 2.0))
+            assert D[0, i] == math.exp(-v / (lam_rate + 2.0)) / (lam_rate + 2.0)
+        assert not G[1:, 0].any() and not D[1:, 0].any()
+        for i in (1, 2):
+            value, slope = per_abscissa_factors(float(x[i]), lam_rate, 3)
+            assert G[1, i] == pytest.approx(value, rel=1e-15, abs=0.0)
+            assert D[1, i] == pytest.approx(slope, rel=1e-12, abs=0.0)
+        for i in (3, 4):
+            cdfs, dens = family.tails(float(x[i])), family.pdf(float(x[i]))
+            assert G[1, i] == min(float(np.dot(rule.weights, cdfs ** 3)), 1.0)
+            assert D[1, i] == 3 * float(np.dot(rule.weights, cdfs ** 2 * dens))
+        for i in (1, 2, 3):
+            value, slope = per_abscissa_factors(float(x[i]), lam_rate, 9)
+            assert G[2, i] == pytest.approx(value, rel=1e-15, abs=0.0)
+            assert D[2, i] == pytest.approx(slope, rel=1e-12, abs=0.0)
+        assert G[2, 4] == base9[3] and D[2, 4] == 0.0

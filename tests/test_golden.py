@@ -29,6 +29,9 @@ fas_N1000) and the mrc_L cells by up to 3.0e-14 (bler_vs_u_default,
 mrc_L2); every other column and file kept its bytes.
 The two quad_check files lost their `# seed = 1` line when quad-check,
 which draws nothing, dropped --seed; their bodies kept their bytes.
+No file moved when the split rule's block factors became one array kernel
+over batches of abscissas, on Poisson tables cut to each panel's band,
+with panels of 16 nodes at every order.
 Every sweep must run without a warning.
 Rewrite a file only for an output change that is intended and stated.
 """

@@ -308,14 +308,15 @@ class TestStatisticalBler:
 
     @staticmethod
     def counted_densities(monkeypatch):
+        # the densities statistical_bler asks for, a panel's nodes at a time
         calls = []
-        density = metrics.pdf_gfas
+        evaluate = metrics._evaluate
 
-        def counted(dist, t):
-            calls.append(t)
-            return density(dist, t)
+        def counted(dist, ts):
+            calls.extend(ts)
+            return evaluate(dist, ts)
 
-        monkeypatch.setattr(metrics, "pdf_gfas", counted)
+        monkeypatch.setattr(metrics, "_evaluate", counted)
         return calls
 
     # (ports, mu2, SNR in dB, users, panels) at M = 1000 and W = 1: h falls by

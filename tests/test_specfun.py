@@ -310,6 +310,26 @@ class TestNcx2Family:
             for got in (float(table[k]), float(gammaln(k + 1.0))):
                 assert abs(float(mpmath.mpf(got) - want)) <= 4 * ulp, (k, got)
 
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    def test_poisson_table_rounds_as_three_operations(self, rows):
+        # the table's exponent is a three-term product, summed in order, so
+        # it equals k ln m - m - ln k! taken one operation at a time, for
+        # one table, one row, or a stack of per-panel tables padded to a
+        # common width, as the split rule builds them
+        rng = np.random.default_rng(rows)
+        for panels, width in ((None, 300), (5, 120)):
+            shape = (rows,) if panels is None else (panels, rows)
+            means = rng.uniform(0.0, 2000.0, shape) ** rng.uniform(0.3, 1.0, shape)
+            start = rng.integers(0, 1500, 1 if panels is None else panels)
+            k = (start[:, None] + np.arange(width)).astype(float)
+            if panels is None:
+                k = k[0]
+            lgk = specfun._log_factorial_table(2000)[k.astype(int)]
+            log_means = np.log(means)
+            want = np.exp(k[..., None, :] * log_means[..., None] - means[..., None]
+                          - lgk[..., None, :])
+            assert np.array_equal(specfun._poisson_table(log_means, means, k, lgk), want)
+
     def test_tabulation_guard(self):
         # a huge family at huge noncentrality would need an absurd Poisson
         # window; that is a configuration error, not something to grind out
