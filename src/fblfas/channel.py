@@ -13,14 +13,15 @@ g = Q_r Lambda_r^(1/2) g0, restricted to the r eigenvalues that survive
 the round-off clip: g0 holds r i.i.d. circular complex Gaussians, not N.
 The sinc kernel's spectrum plunges after about 2W + 1 dominant modes (the
 discrete prolate spheroidal spectrum) and drops below the clip a few modes
-later, so r is 7 at W = 0.5 for any N from 10 to 1000 and 16 at N = 1000,
-W = 3, and each draw costs O(rN) instead of O(N^2); the clipped columns
-contribute exactly zero, so the channel's distribution is the same. The
-correlation structure is condensed into a small block model (per-block
+later, so r is 7 at W = 0.5 for any N from 10 to 10^5 and 16 at W = 3
+from N = 56, and each draw costs O(rN) instead of O(N^2); the clipped
+columns contribute exactly zero, so the channel's distribution is the same.
+The correlation structure is condensed into a small block model (per-block
 size L_b, shared intra-block correlation mu^2) for the analytical
-distribution work. The block fit is matrix-free: it finds the leading
-eigenvalues from the first row alone, so only the Monte Carlo
-factorization (eigen_factor) ever builds the N x N matrix.
+distribution work. The block fit and the sampling factor share one
+matrix-free search for the leading eigenpairs from the first row alone
+(_leading_spectrum); it builds the N x N matrix only where a dense solve
+is cheaper (tiny N, N / 8 or more modes to find, no plunge).
 """
 
 from __future__ import annotations
@@ -68,12 +69,15 @@ _DRAW_ENTRIES = 1 << 15
 # below this margin.
 _SCREEN_MARGIN = 1e-9
 
-# Leading-spectrum search (_leading_eigenvalues): start block size, Ritz
-# residual target relative to the largest Ritz value, and the share of N
-# that significant Ritz values must reach for the dense solve to take over.
+# Leading-spectrum search (_leading_spectrum): start block size, Ritz
+# residual target relative to the largest Ritz value, the share of N that
+# significant Ritz values must reach for the dense solve to take over, and
+# the decades the sinc spectrum falls per mode below 1e-2 of its largest at
+# small W (7 modes reach the clip at W = 0.5 and 9 at W = 1, not 2W + 1).
 _START_COLUMNS = 8
 _RITZ_RESIDUAL = 1e-9
 _DENSE_SHARE = 8
+_PLUNGE_DECADES = 1.75
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def _toeplitz(row: np.ndarray) -> np.ndarray:
 class ToeplitzCorrelation:
     """Port correlation, the symmetric Toeplitz matrix of its first row.
 
-    Only the row is kept; eigen_factor builds the dense N x N matrix for
-    the Monte Carlo factorization, and the block fit never does.
+    Only the row is kept; the block fit and the sampling factor find the
+    leading eigenpairs from it (_leading_spectrum).
     """
 
     size: int
@@ -218,12 +222,13 @@ def eigen_factor(corr: ToeplitzCorrelation) -> np.ndarray:
 
     The sinc kernel is numerically rank deficient, so the bottom of the
     spectrum comes out as tiny values of either sign; only the r columns
-    whose eigenvalues reach 1e-12 of the largest are kept, in descending
-    order of eigenvalue. The others would contribute nothing to any draw.
+    whose eigenvalues reach 1e-12 (EIGENVALUE_CLIP) of the largest are
+    kept, in descending order of eigenvalue. The others would contribute
+    nothing to any draw. The eigenpairs come from _leading_spectrum,
+    certified down to the clip, so the N x N matrix is built only where
+    the search hands the spectrum to the dense eigh.
     """
-    vals, vecs = np.linalg.eigh(_toeplitz(corr.first_row))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    vals, vecs = _leading_spectrum(corr.first_row, EIGENVALUE_CLIP, vectors=True)
     if not (vals[0] > 0.0):
         raise NumericError("correlation matrix has no positive eigenvalue")
     rank = int(np.count_nonzero(vals >= EIGENVALUE_CLIP * float(vals[0])))
@@ -281,67 +286,75 @@ def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
         yield slice(start, start + rows), (z @ scaled).reshape(rows, 2, ports)
 
 
-def _leading_eigenvalues(row: np.ndarray) -> np.ndarray:
-    """Leading eigenvalues, descending, of the symmetric Toeplitz matrix of row.
+def _leading_spectrum(row: np.ndarray, relative: float, floor: float = 0.0,
+                      vectors: bool = False):
+    """Leading eigenpairs, descending, of the symmetric Toeplitz matrix of row.
 
-    The result holds every eigenvalue at or above max(BLOCK_SIGNIFICANCE *
-    lambda_max, row[0]) and possibly some below; row[0] must be positive.
-    Products with the matrix go through its circulant embedding of size 2N,
-    whose spectrum is one real FFT of [row, 0, reversed row[1:]], so the
-    search costs O(N p log N) per step for p columns and never forms the
-    matrix. Block subspace iteration with Rayleigh-Ritz runs on p columns
-    (p = 8 from a fixed seed, so the result is deterministic) and stops
-    when every Ritz value theta_i >= thr / 2 has residual <= 1e-9 theta_1
-    and ||T||_F^2 - sum theta_i^2 < thr^2: Ritz values never exceed the
-    eigenvalues they interlace, so that bounds the sum of squares of
-    lambda_(p+1), ..., lambda_N below thr^2 and no eigenvalue beyond the p
-    found reaches thr. ||T||_F^2 = N r_0^2 + 2 sum_k (N - k) r_k^2 is exact
-    in O(N). Otherwise p doubles: the next block is the current Ritz vectors
-    times the matrix (one subspace-iteration step) plus p fresh random
-    columns. The dense eigenvalues are returned instead where N / 8 or
-    more eigenvalues are expected to reach thr: certifying them needs
-    blocks of N / 4 columns or more, and one step on those costs about half
-    the dense eigvalsh already (N = 1000 to 3000, one thread). The
-    participation ratio (N r_0)^2 / ||T||_F^2 estimates their count up
-    front (within 0.4 of 2W + 1 on sinc rows), so such a spectrum goes
-    dense before any step (at N = 2000, W = 200 a first step would make the
-    fit 1.17 s against 0.74 s). The count of Ritz values reaching
-    thr backs the estimate up after each step, and tiny N (2p >= N) go
-    dense too, as do spectra without a plunge (W near (N - 1) / 2,
-    near-identity rows).
+    Returns (values, vectors): every eigenvalue at or above thr =
+    max(relative * lambda_max, floor), possibly some below, and with vectors
+    asked for their orthonormal eigenvectors as columns (else None). The
+    matrix must be positive semidefinite with row[0] > 0, as a correlation
+    is; the block fit asks for max(1e-2 lambda_max, row[0]), eigen_factor
+    for EIGENVALUE_CLIP lambda_max. Products with the matrix go through its
+    circulant embedding of size 2N (one real FFT of [row, 0, reversed
+    row[1:]] gives its spectrum), so a step costs O(N p log N) for p columns.
+    Block subspace iteration with Rayleigh-Ritz runs on p columns (p = 8
+    from a fixed seed) and stops when every Ritz value theta_i >= thr / 2
+    has residual <= 1e-9 theta_1 and the trace left over, N r_0 -
+    sum theta_i, is below thr: Ritz values never exceed the eigenvalues they
+    interlace and none is negative, so that trace bounds each one not found.
+    Otherwise p doubles: the Ritz vectors times the matrix (one
+    subspace-iteration step) plus p fresh random columns. The dense eigvalsh
+    (eigh for vectors) runs instead where N / 8 or more eigenvalues are
+    expected to reach thr: certifying them needs blocks of N / 4 columns or
+    more, and one step on those costs about half the dense solve (N = 1000
+    to 3000, one thread). That count is estimated up front as the
+    participation ratio (N r_0)^2 / ||T||_F^2 (within 0.4 of the 2W + 1
+    modes above 1e-2 of the largest on sinc rows; ||T||_F^2 = N r_0^2 +
+    2 sum_k (N - k) r_k^2) plus one mode per _PLUNGE_DECADES decades that
+    relative lies below 1e-2, so such a spectrum goes dense before any step
+    (a first step at N = 2000, W = 200 made the fit 1.17 s against 0.74 s),
+    and backed up after each step by the count of Ritz values reaching thr;
+    tiny N (2p >= N) and spectra without a plunge (W near (N - 1) / 2) go
+    dense too.
     """
     n = row.size
     r0 = float(row[0])
     frobenius2 = n * r0 * r0 + 2.0 * float(np.dot(np.arange(n - 1, 0, -1), row[1:] ** 2))
-    if _DENSE_SHARE * (n * r0) ** 2 >= n * frobenius2:
-        return np.linalg.eigvalsh(_toeplitz(row))[::-1]
-    spectrum = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]])).real[:, None]
+    plunge = math.log10(BLOCK_SIGNIFICANCE / relative) / _PLUNGE_DECADES
+    if _DENSE_SHARE * ((n * r0) ** 2 + plunge * frobenius2) < n * frobenius2:
+        spectrum = np.fft.rfft(np.concatenate([row, [0.0], row[:0:-1]])).real[:, None]
 
-    def apply(x):
-        return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * spectrum, 2 * n, axis=0)[:n]
+        def apply(x):
+            return np.fft.irfft(np.fft.rfft(x, 2 * n, axis=0) * spectrum, 2 * n, axis=0)[:n]
 
-    rng = np.random.default_rng(0)
-    p = _START_COLUMNS
-    x = rng.standard_normal((n, p))
-    while 2 * p < n:
-        q, _ = np.linalg.qr(x)
-        tq = apply(q)
-        h = q.T @ tq
-        theta, s = np.linalg.eigh(0.5 * (h + h.T))
-        theta, s = theta[::-1], s[:, ::-1]
-        tv = tq @ s
-        residual = np.linalg.norm(tv - (q @ s) * theta, axis=0)
-        threshold = max(BLOCK_SIGNIFICANCE * float(theta[0]), r0)
-        converged = np.all(residual[theta >= 0.5 * threshold] <= _RITZ_RESIDUAL * theta[0])
-        certified = frobenius2 - float(np.dot(theta, theta)) < threshold * threshold
-        if converged and certified:
-            return theta
-        significant = np.count_nonzero(theta >= threshold * (1.0 - 1e-9))
-        if _DENSE_SHARE * significant >= n:
-            break
-        x = np.hstack([tv, rng.standard_normal((n, p))])
-        p *= 2
-    return np.linalg.eigvalsh(_toeplitz(row))[::-1]
+        rng = np.random.default_rng(0)
+        p = _START_COLUMNS
+        x = rng.standard_normal((n, p))
+        while 2 * p < n:
+            q, _ = np.linalg.qr(x)
+            tq = apply(q)
+            # q^T T q from one syrk (numpy's z.T @ z): unlike a gemm over N it
+            # keeps its bits at any BLAS thread count, as do results at p < 128
+            z = np.hstack([q, tq])
+            h = (z.T @ z)[:p, p:]
+            theta, s = np.linalg.eigh(0.5 * (h + h.T))
+            theta, s = theta[::-1], s[:, ::-1]
+            v, tv = q @ s, tq @ s
+            residual = np.linalg.norm(tv - v * theta, axis=0)
+            threshold = max(relative * float(theta[0]), floor)
+            converged = np.all(residual[theta >= 0.5 * threshold] <= _RITZ_RESIDUAL * theta[0])
+            if converged and n * r0 - float(theta.sum()) < threshold:
+                return theta, (v if vectors else None)
+            significant = np.count_nonzero(theta >= threshold * (1.0 - 1e-9))
+            if _DENSE_SHARE * significant >= n:
+                break
+            x = np.hstack([tv, rng.standard_normal((n, p))])
+            p *= 2
+    if vectors:
+        vals, vecs = np.linalg.eigh(_toeplitz(row))
+        return vals[::-1], vecs[:, ::-1]
+    return np.linalg.eigvalsh(_toeplitz(row))[::-1], None
 
 
 def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
@@ -352,7 +365,7 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     trace/N (the first row's lag-0 entry). For the sinc kernel this
     recovers the familiar 2W+1 dominant mode count (and B = N for an
     identity correlation). Only that leading part of the spectrum is
-    computed, matrix-free from the first row (_leading_eigenvalues). Sizes
+    computed, matrix-free from the first row (_leading_spectrum). Sizes
     follow a dominant-first allocation: L_1 = N - B + 1 and every other
     block keeps a single port, so sum(L_b) = N exactly.
 
@@ -371,8 +384,9 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
         raise ValueError("mu2 must lie strictly inside (0, 1)")
     n = corr.size
     mean = float(corr.first_row[0])
-    vals = _leading_eigenvalues(corr.first_row) if mean > 0.0 else None
-    if vals is None or not (vals[0] > 0.0):
+    vals = _leading_spectrum(corr.first_row, BLOCK_SIGNIFICANCE, mean)[0] if mean > 0.0 else None
+    # a largest eigenvalue at the mean or above makes b >= 1 below
+    if vals is None or not (vals[0] >= mean * (1.0 - 1e-9)):
         warnings.warn("degenerate correlation spectrum; falling back to one block")
         return BlockModel(block_sizes=(n,), mu2=float(mu2))
 
@@ -380,8 +394,5 @@ def fit_block_model(corr: ToeplitzCorrelation, mu2: float) -> BlockModel:
     # the relative slack keeps eigenvalues that sit on the threshold up to
     # round-off (an identity-like spectrum has all of them at the mean)
     b = int(np.sum(vals >= threshold * (1.0 - 1e-9)))
-    if b < 1:  # pragma: no cover - max >= mean makes this unreachable
-        warnings.warn("degenerate correlation spectrum; falling back to one block")
-        return BlockModel(block_sizes=(n,), mu2=float(mu2))
     sizes = (n - b + 1,) + (1,) * (b - 1)
     return BlockModel(block_sizes=sizes, mu2=float(mu2))

@@ -11,11 +11,10 @@ The six ``bler-vs-*`` and ``op-vs-*`` subcommands are rows of one table
 (``_SWEEPS``) run by one sweep engine (``_sweep``). It builds the system
 config of every point and evaluates each distinct config once: a repeated
 sweep value, or the single-antenna MRC benchmark that every port count and
-width shares, costs one evaluation. Monte Carlo overlays stop at
-MAX_MC_PORTS on every subcommand, with NaN cells past it; the exact-channel
-overlays draw once per channel (port count and aperture). The MRC columns
-draw nothing: the outage is in closed form and the error bound is averaged
-by quadrature.
+width shares, costs one evaluation. The exact-channel overlays take any
+port count and draw once per channel (port count and aperture). The MRC
+columns draw nothing: the outage is in closed form and the error bound is
+averaged by quadrature.
 
 Output starts with a ``#``-prefixed metadata block echoing every resolved
 setting, so re-running the printed configuration reproduces the file byte
@@ -43,12 +42,6 @@ from .fas_stats import GainDistribution, _evaluate, block_cdf_factor, block_cdf_
 from .metrics import mrc_outage, mrc_statistical_bler, outage_probability, statistical_bler
 from .montecarlo import empirical_gain_cdf, empirical_outage_sweep, empirical_statistical_bler_sweep
 from .quadrature import gauss_laguerre
-
-# Monte Carlo draws factor the dense N x N correlation matrix (one dense
-# eigendecomposition, then rank x N work per draw), so exact-channel overlays
-# stop at this port count; analytic curves fit the block model matrix-free
-# and take any N.
-MAX_MC_PORTS = 1000
 
 
 # ============================================================================
@@ -187,6 +180,8 @@ def _system_config(args, ports, width, users, snr_db) -> SystemConfig:
 def _t_grid(args) -> np.ndarray:
     if not (args.t_min > 0.0 and args.t_max > args.t_min):
         raise ValueError("need 0 < t-min < t-max")
+    if args.t_points < 1:
+        raise ValueError(f"--t-points must be at least 1, got {args.t_points}")
     return np.linspace(args.t_min, args.t_max, args.t_points)
 
 
@@ -195,17 +190,13 @@ def _cmd_dist(args) -> PerformanceCurve:
     dist = _gain_distribution(args.ports, args.width, args.mu2, args.sigma2,
                               args.quad_order)
     cdf, pdf = (tuple(column.tolist()) for column in _evaluate(dist, grid.tolist()))
-    cdf_mc = cdf_mc_se = (math.nan,) * grid.size
-    if args.ports <= MAX_MC_PORTS:
-        ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
-                                  args.samples, args.seed)
-        cdf_mc = tuple(e.value for e in ests)
-        cdf_mc_se = tuple(e.standard_error for e in ests)
+    ests = empirical_gain_cdf(args.ports, args.width, args.sigma2, grid,
+                              args.samples, args.seed)
     series = {
         "cdf_analytic": cdf,
         "pdf_analytic": pdf,
-        "cdf_mc": cdf_mc,
-        "cdf_mc_se": cdf_mc_se,
+        "cdf_mc": tuple(e.value for e in ests),
+        "cdf_mc_se": tuple(e.standard_error for e in ests),
     }
     return PerformanceCurve("t", tuple(float(t) for t in grid), series, _metadata(args))
 
@@ -282,7 +273,6 @@ def _sweep(row, args) -> PerformanceCurve:
     order on one gain distribution, and their overlay reads one set of
     exact-channel draws. The MRC columns are deterministic
     (mrc_outage and mrc_statistical_bler): --seed and --mrc-trials move none.
-    Monte Carlo cells of configs with more than MAX_MC_PORTS ports are NaN.
     """
     values = getattr(args, row.option)
     fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
@@ -302,7 +292,7 @@ def _sweep(row, args) -> PerformanceCurve:
     for (ports, width), cs in channels.items():
         dist = _gain_distribution(ports, width, args.mu2, args.sigma2, args.quad_order)
         fas.update((c, metric(c, dist)) for c in cs)
-        if args.mc_samples and ports <= MAX_MC_PORTS:
+        if args.mc_samples:
             mc.update(zip(cs, overlay(cs, args.mc_samples, args.seed)))
     # a single antenna's metrics read no aperture, so one width serves all
     mrc_configs = configs(ports=1, width=1.0)
@@ -314,10 +304,8 @@ def _sweep(row, args) -> PerformanceCurve:
     for suffix, cs in curves.items():
         series["fas" + suffix] = tuple(fas[c] for c in cs)
         if args.mc_samples:
-            ests = [mc.get(c) for c in cs]
-            series["mc" + suffix] = tuple(math.nan if e is None else e.value for e in ests)
-            series[f"mc{suffix}_se"] = tuple(
-                math.nan if e is None else e.standard_error for e in ests)
+            series["mc" + suffix] = tuple(mc[c].value for c in cs)
+            series[f"mc{suffix}_se"] = tuple(mc[c].standard_error for c in cs)
     for branches in args.mrc:
         series[f"mrc_L{branches}"] = tuple(bench[branches, c] for c in mrc_configs)
     return PerformanceCurve(row.column, tuple(float(v) for v in values), series,
@@ -386,8 +374,7 @@ def _add_sweep_flags(sub, row):
         sub.add_argument("--" + dest.replace("_", "-"), type=parse, default=parse(default),
                          help=f"{text} (default {default})")
     sub.add_argument("--mc-samples", type=int, default=0,
-                     help=f"exact-channel draws per channel, N <= {MAX_MC_PORTS} only "
-                          "(0 disables; default 0)")
+                     help="exact-channel draws per channel (0 disables; default 0)")
     mrc = "1,3,5" if row.outage else "1,2"
     sub.add_argument("--mrc", type=parse_int_list, default=parse_int_list(mrc),
                      help=f"benchmark MRC branch counts (default {mrc})")
@@ -417,7 +404,7 @@ def build_parser():
     p.add_argument("--width", type=float, default=0.5,
                    help="aperture length W in wavelengths (default 0.5)")
     p.add_argument("--samples", type=int, default=100000,
-                   help=f"Monte Carlo draws, N <= {MAX_MC_PORTS} only (default 100000)")
+                   help="exact-channel Monte Carlo draws (default 100000)")
     p.add_argument("--t-min", type=float, default=0.1, help="grid start (default 0.1)")
     p.add_argument("--t-max", type=float, default=40.0, help="grid end (default 40)")
     p.add_argument("--t-points", type=int, default=200, help="grid size (default 200)")
@@ -434,7 +421,7 @@ def build_parser():
                  "fixed-order quadrature versus adaptive oracle on the block factor")
     p.add_argument("--mu", type=parse_float_list, default=parse_float_list("0.1,0.5,0.97"),
                    help="correlation values mu, squared internally (default 0.1,0.5,0.97)")
-    p.add_argument("--lb", type=int, default=3, help="block size exponent (default 3)")
+    p.add_argument("--lb", type=int, default=3, help="block size L (default 3)")
     p.add_argument("--t-min", type=float, default=0.2, help="grid start (default 0.2)")
     p.add_argument("--t-max", type=float, default=20.0, help="grid end (default 20)")
     p.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")

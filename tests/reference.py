@@ -11,13 +11,18 @@ a different direction:
   montecarlo reduces each block of draws to its max port gain at once, so
   it is the full-channel oracle of montecarlo._max_gains and of the
   worker-count determinism of criterion 9.
+- dense_factor takes the sampling matrix from numpy's dense eigh of the
+  whole matrix, where channel.eigen_factor certifies the leading eigenpairs
+  matrix-free, so it is the oracle of the factor and of the draws past
+  a thousand ports.
 """
 import math
 
 import numpy as np
+from scipy import linalg
 
 from fblfas import parallel
-from fblfas.channel import _channel_blocks
+from fblfas.channel import EIGENVALUE_CLIP, _channel_blocks
 
 # Below the seam the ascending series converges with every term positive, so
 # there is no cancellation; the largest intermediate at x = 50 is ~3e19, far
@@ -107,3 +112,17 @@ def sample_channels(factor, sigma2, count, seed, workers=None):
         return out
 
     return np.concatenate(parallel.run_chunks(task, count, workers), axis=0)
+
+
+def dense_factor(corr):
+    """The N x r sampling matrix from the dense eigh of the whole matrix.
+
+    The columns whose eigenvalues reach EIGENVALUE_CLIP of the largest are
+    kept, in descending order, by the expression eigen_factor evaluated at
+    every N before it found its eigenpairs matrix-free.
+    """
+    vals, vecs = np.linalg.eigh(linalg.toeplitz(corr.first_row))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    rank = int(np.count_nonzero(vals >= EIGENVALUE_CLIP * float(vals[0])))
+    return vecs[:, :rank] * np.sqrt(vals[:rank])[None, :]

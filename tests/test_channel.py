@@ -1,6 +1,10 @@
 """Spatial correlation construction, sampling, and block-model fitting."""
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from fblfas.channel import (
     eigen_factor,
     fit_block_model,
 )
-from reference import sample_channels
+from reference import dense_factor, sample_channels
 
 
 class TestSystemConfig:
@@ -115,6 +119,75 @@ class TestEigenFactor:
         assert factor.shape[1] < 25
         assert float(norms.sum()) == pytest.approx(50.0, rel=1e-6)
 
+    # the matrix-free factor against the dense oracle: the sinc plunge from
+    # W = 0.5 to 50, N from just past the tiny-N dense path to 2500
+    ORACLE_GRID = [(n, w) for n in (17, 20, 60, 200, 1000, 2500)
+                   for w in (0.5, 1.0, 3.0, 10.0, 50.0) if w <= (n - 1) / 2]
+
+    def test_matches_dense_oracle(self):
+        for n, w in self.ORACLE_GRID:
+            corr = build_correlation(n, w)
+            factor = eigen_factor(corr)
+            matrix = linalg.toeplitz(corr.first_row)
+            vals = np.linalg.eigvalsh(matrix)
+            rank = int(np.count_nonzero(vals >= channel.EIGENVALUE_CLIP * vals[-1]))
+            assert factor.shape == (n, rank), (n, w)
+            assert float(np.max(np.abs(factor @ factor.T - matrix))) <= 1e-10, (n, w)
+
+    def test_tiny_port_counts_keep_the_dense_bits(self):
+        # at N <= 16 two blocks of 8 columns would span the space, so the
+        # search is the dense eigh and every draw keeps its bits
+        for n in range(2, 17):
+            for w in (0.05, 0.5, 1.0, 3.0, (n - 1) / 2):
+                corr = build_correlation(n, w)
+                assert np.array_equal(eigen_factor(corr), dense_factor(corr)), (n, w)
+
+    def test_large_factor_never_builds_the_matrix(self, monkeypatch):
+        def refuse(row):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(channel, "_toeplitz", refuse)
+        factor = eigen_factor(build_correlation(1200, 0.5))
+        assert factor.shape == (1200, 7)
+
+    def test_factor_bits_do_not_follow_the_blas_thread_count(self):
+        # the Monte Carlo cells past a thousand ports (a golden file among
+        # them) read these factors; a gemm over N would round differently
+        # on one BLAS thread and on two, and flip the sign of some columns
+        script = ("import hashlib\n"
+                  "from fblfas.channel import build_correlation, eigen_factor\n"
+                  "for n, w in ((200, 0.5), (1001, 1.0), (2500, 3.0)):\n"
+                  "    factor = eigen_factor(build_correlation(n, w))\n"
+                  "    print(hashlib.sha256(factor.tobytes()).hexdigest())\n")
+        src = str(Path(channel.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=False)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    def test_small_factor_goes_dense_before_any_block_step(self, monkeypatch):
+        # at W = 0.5 seven eigenvalues reach the clip, N / 8 or more for N up
+        # to 56: the search would need blocks of N / 4 columns, and the
+        # factor goes dense without forming one
+        calls = []
+        qr = np.linalg.qr
+
+        def recorded_qr(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+        for n in range(20, 56):
+            assert eigen_factor(build_correlation(n, 0.5)).shape == (n, 7)
+        assert calls == []
+        assert eigen_factor(build_correlation(200, 0.5)).shape == (200, 7)
+        assert calls
+
 
 class TestSampleChannels:
     def test_shape_and_dtype(self):
@@ -201,13 +274,14 @@ class TestFitBlockModel:
         assert model.block_count == 1
         assert model.block_sizes == (3,)
 
-    # (N, W) grid of the dense oracle: tiny N that go straight to the dense
-    # path, the sinc plunge from W = 0.01 to 50, and W = (N-1)/2, where
-    # every lag sits on a sinc zero and the spectrum has no plunge
-    ORACLE_GRID = [(n, w) for n in (2, 3, 6, 11, 50, 200, 1000)
-                   for w in (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 10.0, 50.0)]
-    ORACLE_GRID += [(2000, w) for w in (0.01, 0.5, 3.0, 50.0)]
-    ORACLE_GRID += [(n, (n - 1) / 2) for n in (2, 3, 6, 11, 50, 200, 1000)]
+    # (N, W) grid of the dense oracle, 128 pairs: tiny N that go straight to
+    # the dense path, the sinc plunge from W = 0.01 to 300, and W = (N-1)/2,
+    # where every lag sits on a sinc zero and the spectrum has no plunge
+    ORACLE_GRID = [(n, w) for n in (2, 3, 6, 11, 17, 50, 56, 200, 500, 1000)
+                   for w in (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)]
+    ORACLE_GRID += [(n, w) for n in (500, 1000) for w in (100.0, 200.0)]
+    ORACLE_GRID += [(2000, w) for w in (0.01, 0.5, 3.0, 50.0, 300.0)]
+    ORACLE_GRID += [(n, (n - 1) / 2) for n in (2, 3, 6, 11, 17, 50, 56, 200, 1000)]
 
     def test_matches_dense_oracle(self):
         for n, w in self.ORACLE_GRID:

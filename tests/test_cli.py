@@ -18,6 +18,7 @@ from fblfas.cli import (
 from fblfas import cli, metrics, montecarlo, parallel
 from fblfas.fas_stats import GainDistribution
 from fblfas.montecarlo import empirical_outage, empirical_statistical_bler
+from reference import dense_factor
 
 
 def run_cli(capsys, argv):
@@ -121,23 +122,24 @@ class TestDistCommand:
         _, stdout_text, _ = run_cli(capsys, self.ARGS)
         assert target.read_text(encoding="utf-8") == stdout_text
 
-    def test_mc_columns_stop_at_the_port_cap(self, capsys, monkeypatch):
-        # past the cap the overlay is NaN and nothing is drawn or factored;
-        # the analytic columns still come from the matrix-free block fit
-        def refuse(correlation):
-            raise AssertionError(f"eigen_factor called at N = {correlation.size}")
-
-        monkeypatch.setattr(montecarlo, "eigen_factor", refuse)
-        code, out, err = run_cli(capsys, [
-            "dist", "--ports", "1200", "--samples", "1000", "--t-points", "4",
-            "--t-min", "1", "--t-max", "20"])
+    def test_mc_columns_run_past_a_thousand_ports(self, capsys, monkeypatch):
+        # the factor behind the draws comes matrix-free, so the overlay takes
+        # any port count; its cells agree with draws through the dense
+        # oracle's factor (another seed) within four standard errors, plus
+        # one draw in the thousand where both columns sit at 0 or 1
+        argv = ["dist", "--ports", "1200", "--samples", "1000", "--t-points", "4",
+                "--t-min", "1", "--t-max", "20"]
+        code, out, err = run_cli(capsys, argv)
         assert code == 0 and err == ""
         _, header, rows = parse_csv(out)
         assert header == ["t", "cdf_analytic", "pdf_analytic", "cdf_mc", "cdf_mc_se"]
-        assert len(rows) == 4
-        for row in rows:
+        monkeypatch.setattr(montecarlo, "eigen_factor", dense_factor)
+        code, out, err = run_cli(capsys, argv + ["--seed", "2"])
+        assert code == 0 and err == ""
+        for row, dense in zip(rows, parse_csv(out)[2]):
             assert 0.0 <= row[1] <= 1.0 and row[2] >= 0.0
-            assert math.isnan(row[3]) and math.isnan(row[4])
+            assert 0.0 <= row[3] <= 1.0 and math.isfinite(row[4])
+            assert abs(row[3] - dense[3]) <= 4.0 * math.hypot(row[4], dense[4]) + 1e-3
 
     def test_default_grid_evaluates_the_gain_law_once_per_point(self, capsys, monkeypatch):
         # both columns come from one evaluation per grid point: 200
@@ -159,6 +161,14 @@ class TestDistCommand:
         code, _, err = run_cli(capsys, ["dist", "--t-min", "5", "--t-max", "1"])
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("subcommand", ["dist", "quad-check"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_grid_without_points_exits_2(capsys, subcommand, count):
+    code, out, err = run_cli(capsys, [subcommand, "--t-points", count])
+    assert (code, out) == (2, "")
+    assert err == f"fblfas: error: --t-points must be at least 1, got {count}\n"
 
 
 class TestQuadCheckCommand:
@@ -454,20 +464,23 @@ class TestSweepCommands:
                 est = empirical_statistical_bler(cfg, samples=70_000, seed=3)
                 assert (row[value], row[se]) == (est.value, est.standard_error)
 
-    def test_mc_overlay_stops_at_the_port_cap(self, capsys, monkeypatch):
-        # past the cap an overlay cell is NaN; the dense N x N factor behind
-        # a draw is never built
-        def refuse(correlation):
-            raise AssertionError(f"eigen_factor called at N = {correlation.size}")
-
-        monkeypatch.setattr(montecarlo, "eigen_factor", refuse)
-        code, out, err = run_cli(capsys, [
-            "op-vs-u", "--ports", "1001", "--users", "2", "--mc-samples", "2000"])
+    def test_mc_overlay_runs_past_a_thousand_ports(self, capsys, monkeypatch):
+        # the overlay cell lies in the benchmark's band around the analytic
+        # cell (4 SE + 0.05, the block model's error included) and agrees
+        # with draws through the dense oracle's factor (another seed)
+        argv = ["op-vs-u", "--ports", "1001", "--users", "2", "--mc-samples", "2000"]
+        code, out, err = run_cli(capsys, argv)
         assert code == 0 and err == ""
         _, header, rows = parse_csv(out)
         assert header[:4] == ["users", "fas_N1001", "mc_N1001", "mc_N1001_se"]
-        assert 0.0 < rows[0][1] <= 1.0
-        assert math.isnan(rows[0][2]) and math.isnan(rows[0][3])
+        fas, mc, se = rows[0][1:4]
+        assert 0.0 < fas <= 1.0 and 0.0 < mc < 1.0
+        assert abs(mc - fas) <= 4.0 * se + 0.05
+        monkeypatch.setattr(montecarlo, "eigen_factor", dense_factor)
+        code, out, err = run_cli(capsys, argv + ["--seed", "2"])
+        assert code == 0 and err == ""
+        dense, dense_se = parse_csv(out)[2][0][2:4]
+        assert abs(mc - dense) <= 4.0 * math.hypot(se, dense_se)
 
 
 class TestThreadsVariable:

@@ -4,8 +4,9 @@ Each file in tests/golden/ is the output of `fblfas <argv>` for the argv
 listed here. The small sweeps were captured from the per-subcommand loops
 that the table-driven sweep engine replaced. They cover all eight
 subcommands, Monte Carlo and MRC columns, repeated sweep values, a
-`bler-vs-n` port count past the Monte Carlo cap, `quad-check` with its
-default correlation sweep and a configuration file. The two *_default files
+`bler-vs-n` port count past a thousand, where the sampling factor comes
+matrix-free, `quad-check` with its default correlation sweep and a
+configuration file. The two *_default files
 are the default `bler-vs-snr` and `bler-vs-u`, first captured when they
 took 130 s and 8 s and `bler-vs-snr` warned four times, for the low-SNR
 points whose adaptive integral did not converge; their fas columns were
@@ -32,6 +33,10 @@ which draws nothing, dropped --seed; their bodies kept their bytes.
 No file moved when the split rule's block factors became one array kernel
 over batches of abscissas, on Poisson tables cut to each panel's band,
 with panels of 16 nodes at every order.
+The N = 1001 Monte Carlo cells of bler_vs_n, NaN while overlays stopped at
+a thousand ports, were captured when the sampling factor came to be found
+matrix-free; every other cell and file kept its bytes, since every other
+port count here is 20 or less, where the factor is still the dense eigh's.
 Every sweep must run without a warning.
 Rewrite a file only for an output change that is intended and stated.
 """

@@ -15,9 +15,11 @@ import fblfas
 
 MC = ["--mc-samples", "1000", "--mrc-trials", "1000"]
 
-# one small call per subcommand, with the Monte Carlo and MRC overlays on
+# one small call per subcommand, with the Monte Carlo and MRC overlays on,
+# and a dist past a thousand ports, whose sampling factor comes matrix-free
 CALLS = [
     ["dist", "--ports", "4", "--samples", "1000", "--t-points", "3"],
+    ["dist", "--ports", "1200", "--samples", "1000", "--t-points", "3"],
     ["quad-check", "--t-points", "2", "--mu", "0.5,0.97"],
     ["bler-vs-u", "--users", "1,3", "--ports", "3", "--mrc", "1,2"] + MC,
     ["bler-vs-snr", "--snr-db", "10,20", "--ports", "3", "--mrc", "1"] + MC,
