@@ -58,7 +58,9 @@ BLOCK_SIGNIFICANCE = 1e-2
 # a chunk never holds its whole count x N channel array and each block stays
 # in cache while it is reduced. A screened pass (_channel_blocks' cap) draws
 # the normals of max(block, _DRAW_ENTRIES // r) draws at a time, 512 KiB
-# again, and forms the draws that pass its screen a block at a time.
+# again, and forms the draws that pass its screen a block at a time. The
+# channels of a sweep read one normal stream per chunk, which keeps about
+# one such request buffered, never the chunk's count x 2r normals.
 _DRAW_ENTRIES = 1 << 15
 
 # A draw's mean port gain must exceed a screening cap by this relative
@@ -235,13 +237,18 @@ def eigen_factor(corr: ToeplitzCorrelation) -> np.ndarray:
     return vecs[:, :rank] * np.sqrt(vals[:rank])[None, :]
 
 
-def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
-                    sigma2: float, cap=None, bounds=None):
+def _channel_blocks(normals, count: int, factor_t: np.ndarray, sigma2: float, cap=None,
+                    bounds=None):
     """Yield (rows, block) over count channel draws, a few at a time.
 
-    factor_t is the r x N transposed sampling matrix. Each draw takes 2r
-    standard normals in turn, the real parts of its r mode weights and then
-    the imaginary ones, so the stream does not depend on the block size.
+    factor_t is the r x N transposed sampling matrix, and normals the source
+    of the standard normals: a Generator, or anything whose
+    standard_normal(shape) returns the next prod(shape) values of one stream
+    (montecarlo's chunk stream, which several channels read). Each draw
+    takes 2r standard normals in turn, the real parts of its r mode weights
+    and then the imaginary ones, so the stream does not depend on the block
+    size, and a rank-r channel reads the first 2r values per draw of a
+    stream that a channel of higher rank reads further.
     Both parts come from one real product of the stacked weights with the
     factor, never a complex one; a block is a (rows, 2, N) array of the real
     and imaginary parts of the draws that rows (a slice) selects.
@@ -270,7 +277,7 @@ def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
         batch = max(step, _DRAW_ENTRIES // rank)
         thinned = True
         while thinned and start < count:
-            z = rng.standard_normal((min(batch, count - start), 2 * rank))
+            z = normals.standard_normal((min(batch, count - start), 2 * rank))
             mean = np.square(z) @ weights
             bounds[start:start + len(z)] = mean
             kept = np.flatnonzero(mean <= limit)
@@ -282,7 +289,7 @@ def _channel_blocks(rng: np.random.Generator, count: int, factor_t: np.ndarray,
             start += batch
     for start in range(start, count, step):
         rows = min(step, count - start)
-        z = rng.standard_normal((2 * rows, rank))
+        z = normals.standard_normal((2 * rows, rank))
         yield slice(start, start + rows), (z @ scaled).reshape(rows, 2, ports)
 
 

@@ -12,7 +12,8 @@ The six ``bler-vs-*`` and ``op-vs-*`` subcommands are rows of one table
 config of every point and evaluates each distinct config once: a repeated
 sweep value, or the single-antenna MRC benchmark that every port count and
 width shares, costs one evaluation. The exact-channel overlays take any
-port count and draw once per channel (port count and aperture). The MRC
+port count; every channel (port count and aperture) of a sweep is drawn
+in the same Monte Carlo chunks, from one normal stream per chunk. The MRC
 columns draw nothing: the outage is in closed form and the error bound is
 averaged by quadrature.
 
@@ -270,9 +271,12 @@ def _sweep(row, args) -> PerformanceCurve:
     branch count on a single antenna (ports = 1). Repeated sweep values and
     the MRC config that every port count and width shares are evaluated
     once. The points of one channel (ports, antenna_length) run in curve
-    order on one gain distribution, and their overlay reads one set of
-    exact-channel draws. The MRC columns are deterministic
-    (mrc_outage and mrc_statistical_bler): --seed and --mrc-trials move none.
+    order on one gain distribution. The overlay is one call over every
+    distinct point of the sweep: each chunk's normals are drawn once and
+    read by every channel, and each channel's points read one set of
+    exact-channel draws, with the bytes of a sweep over that channel alone.
+    The MRC columns are deterministic (mrc_outage and
+    mrc_statistical_bler): --seed and --mrc-trials move none.
     """
     values = getattr(args, row.option)
     fixed = {key: getattr(args, key, None) for key in ("ports", "width", "users", "snr_db")}
@@ -282,18 +286,18 @@ def _sweep(row, args) -> PerformanceCurve:
 
     curves = ({f"_N{n}": configs(ports=n) for n in args.ports} if row.per_port
               else {"": configs()})
-    points = [c for cs in curves.values() for c in cs]
+    distinct = list(dict.fromkeys(c for cs in curves.values() for c in cs))
     channels = {}
-    for c in dict.fromkeys(points):
+    for c in distinct:
         channels.setdefault((c.ports, c.antenna_length), []).append(c)
     metric = outage_probability if row.outage else statistical_bler
     overlay = empirical_outage_sweep if row.outage else empirical_statistical_bler_sweep
-    fas, mc = {}, {}
+    fas = {}
     for (ports, width), cs in channels.items():
         dist = _gain_distribution(ports, width, args.mu2, args.sigma2, args.quad_order)
         fas.update((c, metric(c, dist)) for c in cs)
-        if args.mc_samples:
-            mc.update(zip(cs, overlay(cs, args.mc_samples, args.seed)))
+    mc = (dict(zip(distinct, overlay(distinct, args.mc_samples, args.seed)))
+          if args.mc_samples else {})
     # a single antenna's metrics read no aperture, so one width serves all
     mrc_configs = configs(ports=1, width=1.0)
     bench_metric = mrc_outage if row.outage else mrc_statistical_bler
@@ -381,25 +385,11 @@ def _add_sweep_flags(sub, row):
     sub.add_argument("--mrc-trials", type=int, default=100000,
                      help="accepted for compatibility; the MRC benchmark draws nothing "
                           "(default 100000)")
+    _add_model_and_seed(sub)
+    _add_common(sub)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="fblfas",
-        description="Finite-blocklength fluid-antenna experiments as CSV curves.",
-    )
-    parser.add_argument("--version", action="version", version=f"fblfas {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    by_name = {}
-
-    def register(name, func, help_text):
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(func=func)
-        by_name[name] = sub
-        return sub
-
-    p = register("dist", _cmd_dist,
-                 "selected-port gain CDF/PDF with Monte Carlo overlay")
+def _add_dist_flags(p):
     p.add_argument("--ports", type=int, default=10, help="port count N (default 10)")
     p.add_argument("--width", type=float, default=0.5,
                    help="aperture length W in wavelengths (default 0.5)")
@@ -411,14 +401,8 @@ def build_parser():
     _add_model_and_seed(p)
     _add_common(p)
 
-    for name, row in _SWEEPS.items():
-        p = register(name, functools.partial(_sweep, row), row.help)
-        _add_sweep_flags(p, row)
-        _add_model_and_seed(p)
-        _add_common(p)
 
-    p = register("quad-check", _cmd_quad_check,
-                 "fixed-order quadrature versus adaptive oracle on the block factor")
+def _add_quad_check_flags(p):
     p.add_argument("--mu", type=parse_float_list, default=parse_float_list("0.1,0.5,0.97"),
                    help="correlation values mu, squared internally (default 0.1,0.5,0.97)")
     p.add_argument("--lb", type=int, default=3, help="block size L (default 3)")
@@ -427,6 +411,42 @@ def build_parser():
     p.add_argument("--t-points", type=int, default=50, help="grid size (default 50)")
     _add_common(p)
 
+
+# Subcommands in usage order: name -> (function, help, flag builder).
+_COMMANDS = {
+    "dist": (_cmd_dist, "selected-port gain CDF/PDF with Monte Carlo overlay", _add_dist_flags),
+    **{name: (functools.partial(_sweep, row), row.help,
+              functools.partial(_add_sweep_flags, row=row))
+       for name, row in _SWEEPS.items()},
+    "quad-check": (_cmd_quad_check,
+                   "fixed-order quadrature versus adaptive oracle on the block factor",
+                   _add_quad_check_flags),
+}
+
+
+def build_parser(command=None):
+    """The fblfas parser and {name: subparser} of the subcommands it holds.
+
+    With a command, only that subcommand's parser is built (about a fifth
+    of the cost of all eight), under the usage line that lists every
+    subcommand, so its help, usage and error text read as with the full
+    parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fblfas",
+        description="Finite-blocklength fluid-antenna experiments as CSV curves.",
+    )
+    parser.add_argument("--version", action="version", version=f"fblfas {__version__}")
+    every = "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=None if command is None else every)
+    by_name = {}
+    for name in _COMMANDS if command is None else (command,):
+        func, help_text, add_flags = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        add_flags(sub)
+        by_name[name] = sub
     return parser, by_name
 
 
@@ -464,7 +484,10 @@ def _apply_config(sub, entries) -> None:
 
 
 def main(argv=None) -> int:
-    parser, by_name = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only where argparse itself answers: a missing or
+    # unknown command, or the top-level --help and --version
+    parser, by_name = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

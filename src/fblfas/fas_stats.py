@@ -302,8 +302,8 @@ def _split_factors(x, size: int, base, s, weights, first):
     means[:, -1] = [y[a] for a in owner]
     log_means = np.log(np.maximum(means, 1e-300))
     log_means[:, -1] = [math.log(max(y[a], 1e-300)) for a in owner]
-    lo = [_poisson_window(m)[0] for m in means[:, 0].tolist()]
-    hi = [_poisson_window(m)[1] for m in means[:, -2].tolist()]
+    lo = _poisson_window(means[:, 0])[0].tolist()
+    hi = _poisson_window(means[:, -2])[1].tolist()
     widths = [b - a + 1 for a, b in zip(lo, hi)]
     cdfs, dens = np.empty(s.shape), np.empty(s.shape)
     for batch in _batches([max(widths[first[a]:first[a + 1]]) for a in held],

@@ -170,10 +170,16 @@ _WINDOW_PAD = 26
 
 
 def _poisson_window(mean):
+    """Window (lo, hi) of counts around a Poisson mean: two ints, or for an
+    array of means two integer arrays, with the same integers entry by entry
+    (both forms round the same IEEE operations). Scalars keep math's
+    functions, a tenth of the cost of numpy's on one value."""
+    if isinstance(mean, np.ndarray):
+        half = _WINDOW_SIGMAS * np.sqrt(mean + 1.0) + _WINDOW_PAD
+        return (np.maximum(np.floor(mean - half), 0.0).astype(np.int64),
+                np.ceil(mean + half).astype(np.int64))
     half = _WINDOW_SIGMAS * math.sqrt(mean + 1.0) + _WINDOW_PAD
-    lo = max(0, int(math.floor(mean - half)))
-    hi = int(math.ceil(mean + half))
-    return lo, hi
+    return max(0, int(math.floor(mean - half))), int(math.ceil(mean + half))
 
 
 def marcum_q1(a, b):

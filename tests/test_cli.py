@@ -293,9 +293,9 @@ class TestSweepCommands:
         assert evaluations and max(evaluations.values()) <= cap
 
     def test_only_monte_carlo_chunks_leave_the_main_thread(self, capsys, monkeypatch):
-        # FBLFAS_THREADS = T starts at most T threads: the channels run one
-        # after another on the main thread, and only parallel.run_chunks
-        # opens a pool, for the chunks of one channel's draws
+        # FBLFAS_THREADS = T starts at most T threads: the channels are fitted
+        # one after another on the main thread, and only parallel.run_chunks
+        # opens a pool, once, for the chunks that draw every channel
         monkeypatch.setenv(parallel.THREADS_ENV, "2")
         calls = Counter()
 
@@ -309,7 +309,7 @@ class TestSweepCommands:
         monkeypatch.setattr(cli, "_gain_distribution", on_main_thread(cli._gain_distribution))
         code, _, err = run_cli(capsys, ["op-vs-u", "--ports", "5,50", "--mc-samples", "140000"])
         assert code == 0 and err == ""
-        assert calls == Counter({("run_chunks", True): 2, ("_gain_distribution", True): 2})
+        assert calls == Counter({("run_chunks", True): 1, ("_gain_distribution", True): 2})
 
     def test_bler_vs_w_large_port_count(self, capsys):
         # the block fit is matrix-free, so analytic sweeps take N far past
@@ -422,26 +422,27 @@ class TestSweepCommands:
             assert 0.0 < est.value < 1.0
 
     def test_mc_overlays_draw_each_channel_once(self, capsys, monkeypatch):
-        # every point on one channel reads one set of exact-channel draws:
-        # one _max_gains call per chunk and channel, keyed here by port count
+        # every point on one channel reads one set of exact-channel draws,
+        # and every channel of a sweep is drawn in the same chunk: one
+        # _max_gains call per chunk, keyed here by its port counts
         calls = Counter()
         max_gains = montecarlo._max_gains
 
-        def counted(index, size, factor_t, sigma2, seed, cap=None):
-            calls[factor_t.shape[1], index, size] += 1
-            return max_gains(index, size, factor_t, sigma2, seed, cap)
+        def counted(index, size, channels, seed):
+            calls[tuple(factor_t.shape[1] for factor_t, _, _ in channels), index, size] += 1
+            return max_gains(index, size, channels, seed)
 
         monkeypatch.setattr(montecarlo, "_max_gains", counted)
         code, _, err = run_cli(capsys, [
             "bler-vs-n", "--ports", "5,10,5", "--mc-samples", "5000", "--mrc", "1",
             "--mrc-trials", "1000"])
         assert code == 0 and err == ""
-        assert calls == Counter({(5, 0, 5000): 1, (10, 0, 5000): 1})
+        assert calls == Counter({((5, 10), 0, 5000): 1})
         calls.clear()
-        # 70,000 draws are two chunks, so two port counts take four draws,
-        # for the screened outage overlay as for the error bound
+        # 70,000 draws are two chunks, each drawing both port counts, for the
+        # screened outage overlay as for the error bound
         full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
-        two_chunks = Counter({(ports, index, size): 1 for ports in (5, 8)
+        two_chunks = Counter({((5, 8), index, size): 1
                               for index, size in enumerate((full, rest))})
         code, _, err = run_cli(capsys, [
             "op-vs-u", "--users", "2,3,2", "--ports", "5,8", "--snr-db", "-15",
@@ -463,6 +464,53 @@ class TestSweepCommands:
                                                blocklength=5, snr_db=snr)
                 est = empirical_statistical_bler(cfg, samples=70_000, seed=3)
                 assert (row[value], row[se]) == (est.value, est.standard_error)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_op_vs_u_mc_columns_equal_one_port_runs(self, capsys, monkeypatch, threads):
+        # the three channels read one normal stream per chunk (70,000 draws
+        # are two chunks), and each column keeps the bytes of its own run
+        monkeypatch.setenv(parallel.THREADS_ENV, threads)
+
+        def mc_columns(ports):
+            code, out, err = run_cli(capsys, ["op-vs-u", "--ports", ports,
+                                              "--mc-samples", "70000"])
+            assert code == 0 and err == ""
+            lines = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+            return {name: [row[j] for row in lines[1:]] for j, name in enumerate(lines[0])
+                    if name.startswith("mc_")}
+
+        together = mc_columns("5,50,200")
+        alone = {}
+        for ports in ("5", "50", "200"):
+            alone.update(mc_columns(ports))
+        assert sorted(together) == sorted(alone) and len(together) == 6
+        assert together == alone
+
+    def test_mc_outage_pass_draws_one_stream_per_command(self, capsys, monkeypatch):
+        # the benchmark's mc_outage pass (perfbench/workloads.py): op-vs-u on
+        # N = 50 and 200, both rank 7 at W = 0.5, and dist at N = 10, rank 7
+        # too, each 65,536 draws; the two op-vs-u channels share their stream
+        drawn, chunk_rng = [], parallel.chunk_rng
+
+        class Counted:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def standard_normal(self, size=None, out=None):
+                values = self._rng.standard_normal(size, out=out)
+                drawn.append(values.size)
+                return values
+
+        monkeypatch.setattr(parallel, "chunk_rng", lambda seed, index: Counted(
+            chunk_rng(seed, index)))
+        for argv in (["op-vs-u", "--ports", "50,200", "--users", "6,15", "--width", "0.5",
+                      "--snr-db=-35", "--gamma-th", "0.0001", "--blocklength", "5",
+                      "--sigma2", "2", "--mc-samples", "65536", "--seed", "1001"],
+                     ["dist", "--ports", "10", "--width", "0.5", "--samples", "65536",
+                      "--t-points", "200", "--seed", "1001"]):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 0 and err == ""
+        assert sum(drawn) == 2 * parallel.CHUNK_DRAWS * 2 * 7 == 1_835_008
 
     def test_mc_overlay_runs_past_a_thousand_ports(self, capsys, monkeypatch):
         # the overlay cell lies in the benchmark's band around the analytic
@@ -537,6 +585,42 @@ class TestConfigFile:
 
 
 class TestParserBasics:
+    # argv whose output argparse writes itself: help, usage and errors
+    ANSWERED = [[], ["--help"], ["--version"], ["bogus"], ["--seed", "3", "dist"],
+                ["dist", "--help"], ["op-vs-u", "-h"], ["quad-check", "--help"],
+                ["dist", "--bogus"], ["op-vs-u", "--version"], ["bler-vs-n", "--ports"],
+                ["bler-vs-w", "--widths", "x"], ["quad-check", "extra"]]
+
+    @pytest.mark.parametrize("argv", ANSWERED, ids=" ".join)
+    def test_output_reads_as_with_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser()[0].parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, capsys.readouterr()) == (full.value.code, want)
+
+    def test_builds_only_the_invoked_subcommand(self, capsys, monkeypatch, tmp_path):
+        built, build = [], cli.build_parser
+
+        def spy(command=None):
+            parser, by_name = build(command)
+            built.append(sorted(by_name))
+            return parser, by_name
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t-points = 3\n", encoding="utf-8")
+        argv = ["quad-check", "--config", str(cfg), "--mu", "0.5"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "") and len(parse_csv(out)[2]) == 3
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.startswith("fblfas ")
+        assert built == [["quad-check"], sorted(cli._COMMANDS)]
+        # the file's defaults went to the parser built for that call alone
+        assert len(parse_csv(run_cli(capsys, argv[:1])[1])[2]) == 50
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

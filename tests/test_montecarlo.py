@@ -181,7 +181,7 @@ class TestSamplingPath:
         want = np.max(g.real ** 2 + g.imag ** 2, axis=1)
         factor_t = _factor_transpose(50, 1.0)
         got = np.concatenate(parallel.run_chunks(
-            lambda index, size: _max_gains(index, size, factor_t, 2.0, 13), 70_000))
+            lambda index, size: _max_gains(index, size, [(factor_t, 2.0, None)], 13)[0], 70_000))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_factor_transpose_is_the_eigen_factor(self):
@@ -228,7 +228,7 @@ class TestOutageScreen:
     def test_counts_equal_the_unscreened_draws(self, ports, width, monkeypatch):
         samples, seed = 10_000, 23
         factor_t = _factor_transpose(ports, width)
-        drawn = _max_gains(0, samples, factor_t, 2.0, seed)
+        drawn = _max_gains(0, samples, [(factor_t, 2.0, None)], seed)[0]
         gains = np.sort(drawn)
         mid = 0.5 * (gains[:-1] + gains[1:])
         # The top grid point is the screen's cap. "tie" puts a grid point
@@ -238,7 +238,7 @@ class TestOutageScreen:
         # 2,501 it forms at N = 50, W = 3 with OpenBLAS 0.3.31 on an AVX-512
         # Xeon), the tie sits on one of those.
         cap = gains[samples // 4]
-        screened = _max_gains(0, samples, factor_t, 2.0, seed, cap)
+        screened = _max_gains(0, samples, [(factor_t, 2.0, cap)], seed)[0]
         rounded = drawn[(screened <= cap) & (screened > drawn)]
         tie = rounded[0] if rounded.size else gains[samples // 10]
         grids = {
@@ -263,7 +263,7 @@ class TestOutageScreen:
         # each draw's bound; the unscreened kernel forms the same draws
         count = 100_000
         factor_t = _factor_transpose(ports, width)
-        bounds = _max_gains(0, count, factor_t, 2.0, 5, cap=-1.0)
+        bounds = _max_gains(0, count, [(factor_t, 2.0, -1.0)], 5)[0]
         means, gains = np.empty(count), np.empty(count)
         for rows, g in _channel_blocks(parallel.chunk_rng(5, 0), count, factor_t, 2.0):
             power = g[:, 0] ** 2 + g[:, 1] ** 2
@@ -309,10 +309,11 @@ class TestEmpiricalOutageSweep:
             empirical_outage_sweep([], samples=5000, seed=1)
         with pytest.raises(ValueError):
             empirical_outage_sweep(self.configs((2,)), samples=999, seed=1)
+        # configs on several channels are no error: each gets its own draws
         mixed = self.configs((2,)) + [SystemConfig.from_snr_db(
             ports=7, antenna_length=0.5, users=2, blocklength=5, snr_db=-15.0)]
-        with pytest.raises(ValueError):
-            empirical_outage_sweep(mixed, samples=5000, seed=1)
+        assert empirical_outage_sweep(mixed, samples=5000, seed=1) == [
+            empirical_outage(c, samples=5000, seed=1) for c in mixed]
 
 
 class TestEmpiricalStatisticalBlerSweep:
@@ -328,7 +329,8 @@ class TestEmpiricalStatisticalBlerSweep:
         factor_t = _factor_transpose(config.ports, config.antenna_length)
 
         def task(index, size):
-            gains = _max_gains(index, size, factor_t, config.channel_variance, seed)
+            gains = _max_gains(index, size, [(factor_t, config.channel_variance, None)],
+                               seed)[0]
             vals = conditional_bler(config.users, config.blocklength, gains,
                                     config.codeword_variance, config.noise_variance)
             return float(np.sum(vals)), float(np.sum(vals * vals))
@@ -354,6 +356,142 @@ class TestEmpiricalStatisticalBlerSweep:
             empirical_statistical_bler_sweep([], samples=5000, seed=1)
         with pytest.raises(ValueError):
             empirical_statistical_bler_sweep(self.configs(((2, 10.0),)), samples=999, seed=1)
+        # configs on several channels are no error: each gets its own draws
         mixed = self.configs(((2, 10.0),)) + self.configs(((2, 10.0),), ports=7)
-        with pytest.raises(ValueError):
-            empirical_statistical_bler_sweep(mixed, samples=5000, seed=1)
+        assert empirical_statistical_bler_sweep(mixed, samples=5000, seed=1) == [
+            empirical_statistical_bler(c, samples=5000, seed=1) for c in mixed]
+
+
+# Channels of mixed rank: 7 modes at W = 0.5 (N = 5 has 5), 16 at N = 50, W = 3
+MIXED_CHANNELS = [(5, 0.5), (50, 0.5), (200, 0.5), (50, 3.0)]
+
+
+def _stream_sizes(monkeypatch) -> dict:
+    """Spy on the chunk generators: normals drawn per (seed, index), per opening."""
+    drawn, chunk_rng = {}, parallel.chunk_rng
+
+    class Counted:
+        def __init__(self, rng, tally):
+            self._rng, self._tally = rng, tally
+
+        def standard_normal(self, size=None, out=None):
+            values = self._rng.standard_normal(size, out=out)
+            self._tally[-1] += values.size
+            return values
+
+    def spy(seed, index):
+        tally = drawn.setdefault((seed, index), [])
+        tally.append(0)
+        return Counted(chunk_rng(seed, index), tally)
+
+    monkeypatch.setattr(parallel, "chunk_rng", spy)
+    return drawn
+
+
+class TestSharedStream:
+    """The channels of one sweep read one normal stream per chunk."""
+
+    @staticmethod
+    def outage_configs():
+        # U = 20 is saturated; the channels interleave in the sweep's order
+        return [SystemConfig.from_snr_db(ports=n, antenna_length=w, users=u, blocklength=5,
+                                         snr_db=snr, outage_threshold=0.01)
+                for u, snr in ((3, -15.0), (20, -15.0), (2, -15.0), (2, -20.0))
+                for n, w in MIXED_CHANNELS]
+
+    @staticmethod
+    def bler_configs():
+        return [SystemConfig.from_snr_db(ports=n, antenna_length=w, users=u, blocklength=5,
+                                         snr_db=snr)
+                for u, snr in ((4, 10.0), (10, 20.0)) for n, w in MIXED_CHANNELS]
+
+    @staticmethod
+    def per_channel(sweep, configs, samples, seed):
+        # each channel's configs in a sweep of their own
+        out = {}
+        for n, w in MIXED_CHANNELS:
+            own = [c for c in configs if (c.ports, c.antenna_length) == (n, w)]
+            out.update(zip(own, sweep(own, samples=samples, seed=seed)))
+        return [out[c] for c in configs]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outage_sweep_equals_per_channel_calls(self, workers):
+        # 70,000 draws end in a ragged chunk
+        configs = self.outage_configs()
+        got = empirical_outage_sweep(configs, samples=70_000, seed=4, workers=workers)
+        assert got == self.per_channel(empirical_outage_sweep, configs, 70_000, 4)
+        # at -20 dB every channel has outages and non-outages
+        assert all(0.0 < e.value < 1.0 for c, e in zip(configs, got) if c.snr < 0.02)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bler_sweep_equals_per_channel_calls(self, workers):
+        configs = self.bler_configs()
+        got = empirical_statistical_bler_sweep(configs, samples=70_000, seed=6, workers=workers)
+        assert got == self.per_channel(empirical_statistical_bler_sweep, configs, 70_000, 6)
+        assert len({e.value for e in got}) == len(configs)
+
+    def test_forced_tie_recount_redraws_its_own_channel(self, monkeypatch):
+        # a slack of a half puts a formed gain near a grid point in every
+        # chunk, so every channel recounts every chunk, alone and unscreened,
+        # from a fresh generator; the counts are the unscreened ones either way
+        configs = self.outage_configs()
+        want = empirical_outage_sweep(configs, samples=70_000, seed=4)
+        monkeypatch.setattr(montecarlo, "_TIE_SLACK", 0.5)
+        calls, max_gains = [], montecarlo._max_gains
+
+        def spy(index, size, channels, seed):
+            calls.append((index, [(f.shape, cap is None) for f, _, cap in channels]))
+            return max_gains(index, size, channels, seed)
+
+        monkeypatch.setattr(montecarlo, "_max_gains", spy)
+        drawn = _stream_sizes(monkeypatch)
+        got = empirical_outage_sweep(configs, samples=70_000, seed=4)
+        assert got == want
+        monkeypatch.undo()
+        assert got == self.per_channel(empirical_outage_sweep, configs, 70_000, 4)
+        shapes = [_factor_transpose(n, w).shape for n, w in MIXED_CHANNELS]
+        for index in (0, 1):
+            mine = [channels for i, channels in calls if i == index]
+            assert mine[0] == [(shape, False) for shape in shapes]
+            assert sorted(mine[1:]) == sorted([(shape, True)] for shape in shapes)
+            assert len(drawn[4, index]) == 1 + len(MIXED_CHANNELS)
+
+    @pytest.mark.parametrize("sweep", ["outage", "bler"])
+    def test_each_chunk_draws_its_stream_once(self, sweep, monkeypatch):
+        # count x 2 r_max normals per chunk, r_max being the highest rank
+        configs = self.outage_configs() if sweep == "outage" else self.bler_configs()
+        run = empirical_outage_sweep if sweep == "outage" else empirical_statistical_bler_sweep
+        ranks = [_factor_transpose(n, w).shape[0] for n, w in MIXED_CHANNELS]
+        assert len(set(ranks)) == 3
+        drawn = _stream_sizes(monkeypatch)
+        run(configs, samples=70_000, seed=8)
+        full, rest = parallel.CHUNK_DRAWS, 70_000 - parallel.CHUNK_DRAWS
+        assert drawn == {(8, 0): [full * 2 * max(ranks)], (8, 1): [rest * 2 * max(ranks)]}
+
+    def test_memory_of_a_four_channel_sweep(self, monkeypatch):
+        # the stream keeps about one screen batch buffered, never a chunk's
+        # 65,536 x 14 normals (7.3 MB): beyond the one-channel peak, a sweep
+        # over four channels holds three more gain arrays (512 KiB each, one
+        # per channel and chunk) and at most two 512 KiB batches besides
+        ports = (5, 50, 500, 1000)
+        factors = {(n, 0.5): _factor_transpose(n, 0.5) for n in ports}
+        monkeypatch.setattr(montecarlo, "_factor_transpose", lambda n, w: factors[n, w])
+
+        def peak(ns):
+            configs = [SystemConfig.from_snr_db(ports=n, antenna_length=0.5, users=u,
+                                                blocklength=5, snr_db=-35.0,
+                                                outage_threshold=1e-4)
+                       for u in range(2, 21) for n in ns]
+            tracemalloc.start()
+            try:
+                empirical_outage_sweep(configs, samples=parallel.CHUNK_DRAWS, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one channel holds its gain array, a screen batch, the batch's
+        # square and a block of draws (512 KiB each), far below 7.3 MB
+        single = max(peak((n,)) for n in ports)
+        assert single <= 3 * 2**20
+        gains = parallel.CHUNK_DRAWS * 8
+        assert peak(ports) <= single + (len(ports) - 1) * gains + 2 * 2**19

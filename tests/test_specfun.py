@@ -244,6 +244,24 @@ class TestNcx2:
             ncx2_cdf(1.0, -2.0)
 
 
+class TestPoissonWindow:
+    def test_array_form_equals_the_scalar_form(self):
+        # means from 1e-300 to 1e7, a dense stretch where the window leaves
+        # k = 0, and the edges; the split rule passes its columns as arrays
+        rng = np.random.default_rng(5)
+        means = np.concatenate([10.0 ** rng.uniform(-300.0, 7.0, 20_000),
+                                rng.uniform(0.0, 200.0, 5_000), [0.0, 5e-324, 1e7]])
+        lo, hi = specfun._poisson_window(means)
+        assert lo.dtype == hi.dtype == np.int64
+        pairs = [specfun._poisson_window(m) for m in means.tolist()]
+        assert all(type(a) is int and type(b) is int for a, b in pairs[:10])
+        assert lo.tolist() == [a for a, _ in pairs]
+        assert hi.tolist() == [b for _, b in pairs]
+        assert lo.min() == 0 and lo.max() > 0
+        # a two-dimensional array keeps its shape
+        assert specfun._poisson_window(means[:6].reshape(2, 3))[1].shape == (2, 3)
+
+
 class TestNcx2Family:
     def test_matches_scalar_functions(self):
         lams = np.array([0.0, 0.5, 3.0, 40.0, 300.0])
