@@ -320,6 +320,8 @@ def _cmd_quad_check(args) -> PerformanceCurve:
     grid = _t_grid(args)
     if not all(0.0 < mu < 1.0 for mu in args.mu):
         raise ValueError("every mu must lie strictly inside (0, 1)")
+    if not (args.sigma2 > 0.0 and math.isfinite(args.sigma2)):
+        raise ValueError("sigma2 must be positive and finite")
     rule = gauss_laguerre(args.quad_order)
     series = {}
     for mu in args.mu:

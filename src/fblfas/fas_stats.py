@@ -26,12 +26,11 @@ differentiates that product term by term. Everything is evaluated on the
 chi-square abscissa x = 2t / (sigma^2 (1 - mu^2)); the same factor is the
 Jacobian that rescales densities back to the gain variable t.
 
-The Laguerre nodes are fixed, so one Ncx2Family per distribution gives
-their noncentral chi-square values at every abscissa. The split rule's
-nodes follow the fall as x moves: one array kernel (_split_plan,
-_split_factors) takes a batch of abscissas at once, on Poisson tables cut
-to each panel's band, and each value it returns depends on its own
-abscissa only. A single evaluation is a batch of one.
+Both rules are panels of nodes and weights for one array kernel
+(_mixture_factors): the Laguerre rule is one panel, read by every abscissa
+it resolves, and the split rule's panels move with x (_split_plan). A batch
+of abscissas, or a single one, goes through at once, on Poisson tables cut
+to each panel's band, and each value depends on its own abscissa only.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import NumericError
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, integrate_adaptive
-from .specfun import (Ncx2Family, _log_factorial_table, _poisson_table, _poisson_tails,
+from .specfun import (_log_factorial_table, _poisson_table, _poisson_tails,
                       _poisson_window, ncx2_cdf)
 from .channel import BlockModel
 
@@ -55,10 +54,9 @@ from .channel import BlockModel
 class GainDistribution:
     """Distribution of the selected-port gain for one block model.
 
-    Immutable. Where the Gauss-Laguerre rule resolves a block's bracket, its
-    per-node chi-square family is built lazily on first use and then
-    reused; elsewhere the split rule places its nodes per abscissa (see
-    _split_plan).
+    Immutable. rule is the Gauss-Laguerre rule, with finite, positive and
+    increasing nodes; where it does not resolve a block's bracket the split
+    rule places its nodes per abscissa (see _split_plan).
 
     The instance is also the unit of reuse: one evaluation at t gives both
     the CDF and the density, and the instance remembers that pair, keyed by
@@ -85,8 +83,7 @@ class GainDistribution:
     def __post_init__(self):
         if not (self.channel_variance > 0.0 and math.isfinite(self.channel_variance)):
             raise ValueError("channel_variance must be positive and finite")
-        if not isinstance(self.rule, QuadratureRule):
-            raise ValueError("rule must be a QuadratureRule")
+        _checked_rule(self.rule)
 
     @cached_property
     def _xscale(self) -> float:
@@ -96,10 +93,6 @@ class GainDistribution:
     @cached_property
     def _lam_rate(self) -> float:
         return 2.0 * self.model.mu2 / (1.0 - self.model.mu2)
-
-    @cached_property
-    def _family(self) -> Ncx2Family:
-        return Ncx2Family(self._lam_rate * self.rule.nodes)
 
     @cached_property
     def _size_counts(self) -> tuple:
@@ -122,6 +115,15 @@ class GainDistribution:
 # edges, for one port at U = 1, M = 1000 and 60 dB, where the kink lies far
 # below the bulk).
 _MEMO_ENTRIES = 1 << 14
+
+
+def _checked_rule(rule) -> QuadratureRule:
+    # the Laguerre panel's Poisson band runs from its first node to its last
+    nodes = np.asarray(getattr(rule, "nodes", []), dtype=float)
+    if not (isinstance(rule, QuadratureRule) and nodes.ndim == 1 and nodes.size
+            and 0.0 < nodes[0] and nodes[-1] < math.inf and (np.diff(nodes) > 0.0).all()):
+        raise ValueError("rule must be a QuadratureRule with finite, positive, increasing nodes")
+    return rule
 
 
 def _checked_t(t, allow_zero: bool):
@@ -175,10 +177,10 @@ def _panel_rule(order: int) -> QuadratureRule:
 # default order 32 has always had 16-node panels, so its values keep their
 # bits.
 _PANEL_NODES = 16
-# Most entries (8 bytes each) of the Poisson tables that the split rule
-# builds in one buffer. On the abscissas of the benchmark's workloads the
-# block factors took the same time from 60k to 250k entries, 8-12% more at
-# 15k-30k (more buffers) and 15-30% more at 1M (past the 2 MiB L2 cache).
+# Most entries (8 bytes each) of the Poisson tables that the mixture kernel
+# builds in one buffer. On the abscissas of the benchmark's workloads the block
+# factors took the same time from 60k to 250k entries, 8-12% more at 15k-30k
+# (more buffers) and 15-30% more at 1M (past the 2 MiB L2 cache).
 _TABLE_ENTRIES = 1 << 17
 
 _STANDARD_NORMAL = NormalDist()
@@ -192,16 +194,16 @@ def _normal_quantile(p: float) -> float:
 def _split_plan(x, lam_rate: float, size: int, order: int):
     """Split rule for G_size at the abscissas x (an array with x / 2 > 0).
 
-    Returns (split, base, s, weights, first). split marks the abscissas at
-    which Gauss-Laguerre of the given order does not resolve the bracket,
-    by _MIN_NODES_PER_WIDTH; the other arrays serve only those. There
-    G = base + sum_i w_i F2(x; s_i^2)^size: base is the closed-form mass
-    below the transition, and rows first[a] .. first[a + 1] - 1 of the
-    (panels, _PANEL_NODES) arrays s and weights hold the nodes and weights
-    of abscissa a's Gauss-Legendre panels in s, up to four in increasing s,
-    or none where the bracket is negligible above the closed-form part.
-    The edges are a few scalar steps per abscissa; the nodes and weights of
-    all panels are formed together.
+    Returns (split, base, means, weights, first). split marks the abscissas
+    at which Gauss-Laguerre of the given order does not resolve the
+    bracket, by _MIN_NODES_PER_WIDTH; the other arrays serve only those.
+    There G = base + sum_i w_i F2(x; s_i^2)^size: base is the closed-form
+    mass below the transition, and rows first[a] .. first[a + 1] - 1 of the
+    (panels, _PANEL_NODES) arrays means and weights hold the Poisson means
+    s_i^2 / 2 and the weights of abscissa a's Gauss-Legendre panels in s,
+    up to four in increasing s, or none where the bracket is negligible
+    above the closed-form part. The edges are a few scalar steps per
+    abscissa; the nodes and weights of all panels are formed together.
     """
     # Transition centre and width from F2(x; s^2) ~ Phi(r - s): the bracket
     # is 1/2 where 1 - F2 = 1 - 2^(-1/L).
@@ -254,7 +256,7 @@ def _split_plan(x, lam_rate: float, size: int, order: int):
     s = mid + halfw * panel.nodes
     # ds-weight of the e^(-u) du measure: (2 s / lam) exp(-s^2 / lam)
     weights = (halfw * panel.weights) * (2.0 * s / lam_rate) * np.exp(-s * s / lam_rate)
-    return np.array(split, dtype=bool), np.array(base), s, weights, first
+    return np.array(split, dtype=bool), np.array(base), np.multiply(0.5, s * s), weights, first
 
 
 def _batches(widths, rows):
@@ -271,72 +273,79 @@ def _batches(widths, rows):
         yield batch
 
 
-def _split_factors(x, size: int, base, s, weights, first):
-    """G_size and its slope at the split abscissas x from their panels (_split_plan).
+def _mixture_factors(y, size: int, base, means, weights, first, panel):
+    """G = base + sum_i w_i F2(x; 2 m_i)^size and its slope dG/dx at the
+    abscissas x = 2 y of the array y > 0.
 
-    F2(x; lam) mixes the Poisson pmfs of N_w ~ Pois(lam / 2) with the upper
-    tails P(N_y > k) of N_y ~ Pois(x / 2), and its density mixes them with
-    the pmf of N_y, halved: the Poisson mixture of specfun.Ncx2Family, with
-    the same arithmetic. A panel's table runs over its own band, the counts
-    k from the lower Poisson-window edge of its first node's mean to the
-    upper edge of its last one's, so it holds every node's window (the mass
-    below a window is under 1e-19), plus a row for the pmf of N_y. An
-    abscissa's upper tails run over the union of its panels' bands, with
-    the mass beyond taken from _poisson_tails; consecutive panels' bands
-    overlap, as their nodes lie closer than a window's half-width.
+    Rows of means and weights hold one panel each, its node means m_i
+    increasing. Abscissa a reads the panels panel[first[a]] ..
+    panel[first[a + 1] - 1], increasing, or none; a panel may serve many
+    abscissas, as the Laguerre rule's one panel does.
 
-    The tables of a batch of abscissas, up to _TABLE_ENTRIES entries, share
-    one buffer padded to their widest band, and each panel is reduced over
-    its own band alone, so a value's bits depend on its own abscissa only.
+    F2(x; 2 m) mixes the Poisson pmfs of N_w ~ Pois(m) with the upper tails
+    P(N_y > k) of N_y ~ Pois(y), and its density mixes them with the pmf of
+    N_y, halved: the mixture and arithmetic of specfun.Ncx2Family. A
+    panel's table runs over its band, from the Poisson window of its first
+    node's mean to that of its last, so it holds every node's window (the
+    mass outside one is under 1e-19). An abscissa's pmf and upper tails run
+    over the union of its panels' bands, which overlap, with the mass
+    beyond from _poisson_tails. A batch of abscissas tabulates each panel it
+    reads once, a shared one outside the _TABLE_ENTRIES budget of its pmf
+    rows and other tables. Each panel is reduced over its own band alone,
+    so a value's bits depend on its own abscissa only.
     """
-    values = base.copy()
-    slopes = np.zeros(len(base))
-    held = [a for a in range(len(base)) if first[a + 1] > first[a]]
+    nodes = means.shape[1]
+    values, slopes = base.copy(), np.zeros(len(base))
+    held = [a for a in range(len(y)) if first[a + 1] > first[a]]
     if not held:
         return values, slopes
-    nodes = s.shape[1]
-    y = (0.5 * x).tolist()
-    owner = [a for a in held for _ in range(first[a], first[a + 1])]
-    means = np.empty((len(s), nodes + 1))
-    np.multiply(0.5, s * s, out=means[:, :-1])
-    means[:, -1] = [y[a] for a in owner]
+    y = y.tolist()
     log_means = np.log(np.maximum(means, 1e-300))
-    log_means[:, -1] = [math.log(max(y[a], 1e-300)) for a in owner]
-    lo = _poisson_window(means[:, 0])[0].tolist()
-    hi = _poisson_window(means[:, -2])[1].tolist()
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    cdfs, dens = np.empty(s.shape), np.empty(s.shape)
-    for batch in _batches([max(widths[first[a]:first[a + 1]]) for a in held],
-                          [(nodes + 1) * (first[a + 1] - first[a]) for a in held]):
-        batch = [held[i] for i in batch]
-        panels = [j for a in batch for j in range(first[a], first[a + 1])]
+    edges = _poisson_window(means[:, 0])[0], _poisson_window(means[:, -1])[1]
+    lo, hi = (e.tolist() for e in edges)
+    span = (edges[1] - edges[0] + 1).tolist()
+    alone = (np.bincount(panel, minlength=len(means)) == 1).tolist()
+    reads = [panel[first[a]:first[a + 1]] for a in held]
+    start, stop = [lo[r[0]] for r in reads], [hi[r[-1]] for r in reads]
+    cdfs, dens = np.empty((len(panel), nodes)), np.empty((len(panel), nodes))
+    lgk = _log_factorial_table(max(stop) + 1)
+    for batch in _batches([max(map(span.__getitem__, r)) for r in reads],
+                          [1 + nodes * sum(map(alone.__getitem__, r)) for r in reads]):
+        tabulated = sorted(set().union(*(reads[i] for i in batch)))
+        where = {p: d for d, p in enumerate(tabulated)}
         # a row's padding repeats its last count: exp is slow on the far
         # tails (13-150 ns an entry below about -708, against 1 ns)
-        k = np.minimum(np.array([lo[j] for j in panels])[:, None]
-                       + np.arange(max(widths[j] for j in panels)),
-                       np.array([hi[j] for j in panels])[:, None])
-        tables = _poisson_table(log_means[panels], means[panels], k,
-                                _log_factorial_table(int(k[:, -1].max()) + 1)[k])
-        # P(N_y = k) and P(N_y > k) over each abscissa's band, the union of
-        # its panels' bands, from its lowest count on; zero-padded
-        bands = [(j, i, lo[j] - lo[first[a]], widths[j])
-                 for i, a in enumerate(batch) for j in range(first[a], first[a + 1])]
-        pmf = np.zeros((len(batch), max(hi[first[a + 1] - 1] - lo[first[a]] + 1 for a in batch)))
-        for row, (j, i, offset, width) in enumerate(bands):
-            pmf[i, offset:offset + width] = tables[row, -1, :width]
+        k = np.minimum(edges[0][tabulated, None] + np.arange(max(span[p] for p in tabulated)),
+                       edges[1][tabulated, None])
+        tables = _poisson_table(log_means[tabulated], means[tabulated], k, lgk[k])
+        # P(N_y = k) and P(N_y > k) over each abscissa's band, zero-padded; a
+        # pmf row is the three operations whose rounding the tables' product
+        # keeps, which a one-row product would not
+        pmf = np.full((len(batch), max(stop[i] - start[i] for i in batch) + 1), -math.inf)
+        counts = np.arange(pmf.shape[1], dtype=float)
+        for row, i in enumerate(batch):
+            band = pmf[row, :stop[i] - start[i] + 1]
+            np.add(counts[:band.size], start[i], out=band)
+            band *= math.log(max(y[held[i]], 1e-300))
+            band -= y[held[i]]
+            band -= lgk[start[i]:stop[i] + 1]
+        np.exp(pmf, out=pmf)
         upper = np.empty_like(pmf)
         np.cumsum(pmf[:, :0:-1], axis=1, out=upper[:, -2::-1])
         upper[:, -1] = 0.0
-        upper += np.array([[_poisson_tails(hi[first[a + 1] - 1] + 1, y[a])[1]] for a in batch])
-        for row, (j, i, offset, width) in enumerate(bands):
-            table = tables[row, :-1, :width]
-            np.matmul(table, upper[i, offset:offset + width], out=cdfs[j])
-            np.matmul(table, pmf[i, offset:offset + width], out=dens[j])
+        upper += np.array([[_poisson_tails(stop[i] + 1, y[held[i]])[1]] for i in batch])
+        for i, tails, mass in zip(batch, upper, pmf):
+            for j, p in enumerate(reads[i], first[held[i]]):
+                offset, width = lo[p] - start[i], span[p]
+                table = tables[where[p], :, :width]
+                np.matmul(table, tails[offset:offset + width], out=cdfs[j])
+                np.matmul(table, mass[offset:offset + width], out=dens[j])
     np.maximum(cdfs, 0.0, out=cdfs)
     np.minimum(cdfs, 1.0, out=cdfs)
     dens *= 0.5
     powm1 = cdfs ** (size - 1)
-    mass, slope, nodal = (powm1 * cdfs).ravel(), (powm1 * dens).ravel(), weights.ravel()
+    mass, slope = (powm1 * cdfs).ravel(), (powm1 * dens).ravel()
+    nodal = weights[np.asarray(panel, dtype=int)].ravel()
     for a in held:
         at = slice(nodes * first[a], nodes * first[a + 1])
         values[a] = min(base[a] + float(np.dot(nodal[at], mass[at])), 1.0)
@@ -344,7 +353,7 @@ def _split_factors(x, size: int, base, s, weights, first):
     return values, slopes
 
 
-def _block_factors(x, lam_rate: float, sizes, rule: QuadratureRule, laguerre_family):
+def _block_factors(x, lam_rate: float, sizes, rule: QuadratureRule):
     """G_L(x) and dG_L/dx for each L in sizes at each abscissa of the array x.
 
     The kernel behind every evaluation of the gain law. Returns two
@@ -353,34 +362,27 @@ def _block_factors(x, lam_rate: float, sizes, rule: QuadratureRule, laguerre_fam
     block cannot select, so its factor is the exponential marginal
     1 - exp(-x / (lam + 2)) in closed form, taken with math's expm1 and
     exp (numpy's vectorised exp differs from them in the last bit for a few
-    percent of arguments). Larger blocks take the split rule (_split_plan,
-    _split_factors) where Gauss-Laguerre does not resolve their bracket,
-    else the Laguerre sums; laguerre_family is a callable returning the
-    Ncx2Family on the Gauss-Laguerre nodes, called only if some block needs
-    that rule. Its slopes read the Poisson row the family kept from its CDF.
+    percent of arguments). Larger blocks go through _mixture_factors on the
+    split rule's panels (_split_plan) where Gauss-Laguerre does not resolve
+    their bracket, else on the Laguerre rule as one panel: node means
+    lam u_i / 2 and weights w_i, with no closed-form part.
     """
     x = np.asarray(x, dtype=float)
-    values = np.zeros((len(sizes), x.size))
-    slopes = np.zeros_like(values)
+    values, slopes = np.zeros((len(sizes), x.size)), np.zeros((len(sizes), x.size))
     live = np.flatnonzero(0.5 * x > 0.0)  # elsewhere F2(x; lam) = 0, and so is its slope
-    laguerre = {}
+    laguerre = np.multiply(0.5, lam_rate * rule.nodes)[None]
     for i, size in enumerate(sizes):
         if size == 1:
             values[i] = [-math.expm1(-v / (lam_rate + 2.0)) for v in x.tolist()]
             slopes[i] = [math.exp(-v / (lam_rate + 2.0)) / (lam_rate + 2.0) for v in x.tolist()]
             continue
-        split, base, s, weights, first = _split_plan(x[live], lam_rate, size, rule.order)
-        at = live[split]
-        values[i, at], slopes[i, at] = _split_factors(x[at], size, base, s, weights, first)
-        for a in live[~split].tolist():
-            xa = float(x[a])
-            if xa not in laguerre:
-                family = laguerre_family()
-                laguerre[xa] = family.tails(xa), family.pdf(xa)
-            cdfs, dens = laguerre[xa]
-            powm1 = cdfs ** (size - 1)
-            values[i, a] = min(float(np.dot(rule.weights, powm1 * cdfs)), 1.0)
-            slopes[i, a] = size * float(np.dot(rule.weights, powm1 * dens))
+        split, base, means, weights, first = _split_plan(x[live], lam_rate, size, rule.order)
+        kept = live[~split]
+        for at, panels in ((live[split], (base, means, weights, first, range(len(means)))),
+                           (kept, (np.zeros(kept.size), laguerre, rule.weights[None],
+                                   range(kept.size + 1), [0] * kept.size))):
+            if at.size:
+                values[i, at], slopes[i, at] = _mixture_factors(0.5 * x[at], size, *panels)
     return values, slopes
 
 
@@ -397,7 +399,7 @@ def _evaluate(dist: GainDistribution, ts) -> tuple:
     if misses:
         sizes = dist._size_counts
         G, D = _block_factors(np.array(misses) * dist._xscale, dist._lam_rate,
-                              [size for size, _ in sizes], dist.rule, lambda: dist._family)
+                              [size for size, _ in sizes], dist.rule)
         powers = [G[i] ** count for i, (_size, count) in enumerate(sizes)]
         cdf = np.ones(len(misses))
         density = np.zeros(len(misses))
@@ -491,10 +493,8 @@ def block_cdf_factor(mu2, size, t, rule: QuadratureRule | None = None) -> float:
     _split_plan). A size-1 group is the exponential marginal in closed form.
     """
     x, lam_rate, size = _block_args(mu2, size, t)
-    if rule is None:
-        rule = gauss_laguerre(32)
-    factors, _ = _block_factors([x], lam_rate, [size], rule,
-                                lambda: Ncx2Family(lam_rate * rule.nodes))
+    rule = _checked_rule(gauss_laguerre(32) if rule is None else rule)
+    factors, _ = _block_factors([x], lam_rate, [size], rule)
     return float(factors[0, 0])
 
 

@@ -6,7 +6,7 @@ functions of integer order, the first-order Marcum Q function, the
 distribution function of the 2-degree-of-freedom noncentral chi-square
 law, and Ncx2Family, which gives the distribution function and density of
 many such laws at one abscissa from shared Poisson tables. Its tables and
-those of the split rule in fas_stats are formed by _poisson_table;
+those of the mixture kernel in fas_stats are formed by _poisson_table;
 marcum_q1, the path of the adaptive oracle, forms its own. The
 correlation regimes of interest push the noncentrality to a few tens of
 thousands, so all probabilities are assembled from sums of positive terms
@@ -288,17 +288,14 @@ def _poisson_table(log_means, means, k, lgk):
 class Ncx2Family:
     """A fixed family of 2-dof noncentral chi-square laws evaluated jointly.
 
-    The Gauss-Laguerre rule of the gain distribution needs F(x; lam_i) at
-    many abscissas for the same node noncentralities lam_i. The Poisson
-    mixture weights P(N_wi = k) depend only on the lam_i, so they are built
-    once here as a dense (len(lams), kmax+1) matrix by _poisson_table, with
-    ln k! read from a shared table. Each abscissa then costs one Poisson pmf
-    row in k (kmax+1 exponentials) plus one matrix-vector product for the
-    CDF and one for the density. The family keeps its last row, so pdf(x)
-    right after tails(x), as every evaluation of the gain law asks for
-    them, builds no second row. (The split rule's nodes move with x, so
-    fas_stats tabulates them per abscissa, over each panel's band only,
-    with the same arithmetic.)
+    The Poisson mixture weights P(N_wi = k) depend only on the lam_i, so
+    they are built once as a dense (len(lams), kmax+1) matrix by
+    _poisson_table, with ln k! read from a shared table. Each abscissa then
+    costs one Poisson pmf row in k (kmax+1 exponentials) plus one
+    matrix-vector product for the CDF and one for the density; pdf(x) right
+    after tails(x) reuses the row. The family is the test oracle of the
+    gain law's mixture kernel (fas_stats._mixture_factors), which forms the
+    same sums over each panel's band with the same arithmetic.
 
     The CDF mixes the upper Poisson tails P(N_y > k), a reverse cumulative
     sum of positive terms with the mass beyond the window supplied by

@@ -192,6 +192,12 @@ class TestQuadCheckCommand:
         code, _, err = run_cli(capsys, ["quad-check", "--mu", "1.5"])
         assert code == 2
         assert "mu" in err
+        # unchecked, --sigma2 0 raised ZeroDivisionError, inf printed an
+        # all-zero CSV, and -2 and nan were blamed on the gain argument
+        for sigma2 in ("0", "inf", "-2", "nan"):
+            argv = ["quad-check", "--t-points", "2", "--sigma2", sigma2]
+            assert run_cli(capsys, argv) == (
+                2, "", "fblfas: error: sigma2 must be positive and finite\n"), sigma2
 
 
 class TestSweepCommands:

@@ -24,7 +24,7 @@ from fblfas.fas_stats import (
     pdf_gfas,
     quantile,
 )
-from fblfas.quadrature import gauss_laguerre
+from fblfas.quadrature import QuadratureRule, gauss_laguerre, gauss_legendre
 from fblfas.specfun import (
     Ncx2Family,
     _log_factorial_table,
@@ -151,8 +151,8 @@ class TestBlockFactor:
         cases = [(x, laguerre) for x in (5.0, 1500.0, 5.0)]
         for x in np.geomspace(5.0, 1500.0, 7):
             for size in (2, 5, 31, 120, 497):
-                _, _, s, _, _ = fas_stats._split_plan(np.array([x]), lam_rate, size, 32)
-                cases.append((float(x), Ncx2Family((s * s).ravel())))
+                _, _, means, _, _ = fas_stats._split_plan(np.array([x]), lam_rate, size, 32)
+                cases.append((float(x), Ncx2Family(2.0 * means.ravel())))
         for x, family in cases:
             cdf, pdf = former(family.lams, x)
             assert np.array_equal(family.tails(x), cdf), x
@@ -173,6 +173,24 @@ class TestBlockFactor:
             block_cdf_factor(0.5, 0, 1.0)
         with pytest.raises(ValueError):
             block_cdf_factor(0.5, 3, math.nan)
+
+    def test_rejects_a_rule_without_finite_positive_increasing_nodes(self):
+        # the Laguerre rule is one panel whose Poisson band runs from its
+        # first node to its last; unchecked, an 8-node Gauss-Legendre rule
+        # (negative nodes) gave block_cdf_factor(0.1, 3, 1.0) = 0.1605,
+        # against 0.0620 from the Laguerre rule
+        def rule(nodes):
+            return QuadratureRule(order=len(nodes), nodes=np.array(nodes),
+                                  weights=np.ones(len(nodes)))
+
+        model = reference_distribution(mu2=0.1).model
+        bad = [gauss_legendre(8), rule([0.5, math.nan]), rule([0.5, math.inf]),
+               rule([0.0, 1.0]), rule([2.0, 1.0]), rule([]), "gauss_laguerre(32)"]
+        for each in bad:
+            with pytest.raises(ValueError, match="finite, positive, increasing nodes"):
+                GainDistribution(model=model, rule=each)
+            with pytest.raises(ValueError, match="finite, positive, increasing nodes"):
+                block_cdf_factor(0.1, 3, 1.0, rule=each)
 
 
 class TestCdfGfas:
@@ -476,15 +494,16 @@ class TestMemo:
         assert list(dist._memo) == self.GRID[:4]
 
 
-def per_abscissa_factors(x, lam_rate, size):
+def per_abscissa_factors(x, lam_rate, size, order=32):
     """G_size(x) and its slope by the split rule evaluated alone on an
     Ncx2Family of the plan's nodes, tabulated from k = 0: the per-abscissa
     path the array kernel replaced."""
-    split, base, s, weights, first = fas_stats._split_plan(np.array([x]), lam_rate, size, 32)
+    split, base, means, weights, first = fas_stats._split_plan(np.array([x]), lam_rate, size,
+                                                               order)
     assert split[0]
     if first[1] == first[0]:
         return float(base[0]), 0.0
-    family = Ncx2Family((s * s).ravel())
+    family = Ncx2Family(2.0 * means.ravel())
     cdfs, dens = family.tails(x), family.pdf(x)
     powm1 = cdfs ** (size - 1)
     weights = weights.ravel()
@@ -492,8 +511,20 @@ def per_abscissa_factors(x, lam_rate, size):
             size * float(np.dot(weights, powm1 * dens)))
 
 
+def laguerre_factors(x, lam_rate, size, rule):
+    """G_size(x) and its slope by the plain Laguerre sum on an Ncx2Family of
+    the rule's nodes: the path the mixture kernel replaced for the blocks
+    that keep the rule."""
+    family = Ncx2Family(lam_rate * rule.nodes)
+    cdfs, dens = family.tails(x), family.pdf(x)
+    powm1 = cdfs ** (size - 1)
+    return (min(float(np.dot(rule.weights, powm1 * cdfs)), 1.0),
+            size * float(np.dot(rule.weights, powm1 * dens)))
+
+
 class TestSplitKernel:
-    """The split rule's array kernel (fas_stats._split_plan, _split_factors)."""
+    """The gain law's mixture kernel (fas_stats._mixture_factors) on the
+    split rule's panels (_split_plan) and on the Laguerre rule's one panel."""
 
     @pytest.mark.parametrize("mu2", [0.5, 0.97])
     def test_values_do_not_depend_on_the_batch(self, mu2):
@@ -518,24 +549,56 @@ class TestSplitKernel:
                     assert (cdf[i], pdf[i]) == alone, (t, len(batch))
 
     def test_agrees_with_the_per_abscissa_families(self):
-        # mu2 0.1-0.99, block sizes 2-4999 and t from the deep left tail
-        # (factors below 1e-300 and underflowing to 0) to the upper tail:
-        # the values measured equal to the per-abscissa path's bit for bit
-        # (pinned within 1e-15), and the slopes, whose sums run over each
-        # panel's band and not from k = 0, within 9.5e-14 relative (pinned
-        # at 1e-12)
-        for mu2 in (0.1, 0.5, 0.9, 0.97, 0.99):
-            lam_rate = 2.0 * mu2 / (1.0 - mu2)
-            x = np.geomspace(1e-3, 100.0, 30) / (1.0 - mu2)
-            for size in (2, 9, 50, 998, 4999):
-                split = fas_stats._split_plan(x, lam_rate, size, 32)[0]
-                rule = gauss_laguerre(32)
-                G, D = fas_stats._block_factors(x, lam_rate, [size], rule,
-                                                lambda: Ncx2Family(lam_rate * rule.nodes))
-                for i in np.flatnonzero(split):
-                    value, slope = per_abscissa_factors(float(x[i]), lam_rate, size)
-                    assert G[0, i] == pytest.approx(value, rel=1e-15, abs=0.0), (mu2, size, x[i])
-                    assert D[0, i] == pytest.approx(slope, rel=1e-12, abs=0.0), (mu2, size, x[i])
+        # orders 8-256, mu2 0.01-0.99, block sizes 2-4999 and t from the
+        # deep left tail (factors below 1e-300 and underflowing to 0) to the
+        # upper tail. Where the block splits, the values measured equal to
+        # the per-abscissa path's bit for bit (pinned within 1e-15), and the
+        # slopes, whose sums run over each panel's band and not from k = 0,
+        # within 9.5e-14 relative (pinned at 1e-12). Where it keeps the
+        # Laguerre rule, values and slopes equal the Ncx2Family sums bit for
+        # bit, at every order.
+        for order in (8, 16, 32, 64, 128, 256):
+            rule = gauss_laguerre(order)
+            kept = 0
+            for mu2 in (0.01, 0.1, 0.25, 0.5, 0.9, 0.97, 0.99):
+                lam_rate = 2.0 * mu2 / (1.0 - mu2)
+                x = np.geomspace(1e-3, 100.0, 30) / (1.0 - mu2)
+                for size in (2, 9, 50, 998, 4999):
+                    split = fas_stats._split_plan(x, lam_rate, size, order)[0]
+                    G, D = fas_stats._block_factors(x, lam_rate, [size], rule)
+                    for i, v in enumerate(x.tolist()):
+                        case = (order, mu2, size, v)
+                        if split[i]:
+                            value, slope = per_abscissa_factors(v, lam_rate, size, order)
+                            assert G[0, i] == pytest.approx(value, rel=1e-15, abs=0.0), case
+                            assert D[0, i] == pytest.approx(slope, rel=1e-12, abs=0.0), case
+                        else:
+                            assert (G[0, i], D[0, i]) == laguerre_factors(v, lam_rate, size,
+                                                                          rule), case
+                            kept += 1
+            assert kept >= 30, order
+
+    def test_laguerre_panel_is_tabulated_once_per_table_batch(self, monkeypatch):
+        # one _evaluate batch of 200 abscissas at which the size-9 block
+        # keeps the order-256 Laguerre rule: its 256 node rows are formed
+        # once for each table batch (the 200 pmf rows fit one), not once for
+        # each abscissa, and nothing else goes through the tables' product
+        dist = GainDistribution(model=fit_block_model(build_correlation(10, 0.5), 0.25),
+                                rule=gauss_laguerre(256))
+        ts = [float(t) for t in np.linspace(0.1, 40.0, 200)]
+        assert [size for size, _ in dist._size_counts] == [1, 9]
+        split = fas_stats._split_plan(np.array(ts) * dist._xscale, dist._lam_rate, 9, 256)[0]
+        assert not split.any()
+        shapes = []
+        poisson_table = fas_stats._poisson_table
+
+        def counted(log_means, means, k, lgk):
+            shapes.append(np.shape(means))
+            return poisson_table(log_means, means, k, lgk)
+
+        monkeypatch.setattr(fas_stats, "_poisson_table", counted)
+        fas_stats._evaluate(dist, ts)
+        assert shapes == [(1, 256)]
 
     def test_agrees_with_the_adaptive_oracle(self):
         # measured within 2.7e-11 relative (at mu2 = 0.99, L = 4999)
@@ -554,13 +617,12 @@ class TestSplitKernel:
         mu2 = 0.5
         lam_rate = 2.0 * mu2 / (1.0 - mu2)
         rule = gauss_laguerre(32)
-        family = Ncx2Family(lam_rate * rule.nodes)
         x = np.array([5e-324, 0.01, 2.0, 40.0, 900.0])
         split3 = fas_stats._split_plan(x[1:], lam_rate, 3, 32)[0]
         split9, base9, _, _, first9 = fas_stats._split_plan(x[1:], lam_rate, 9, 32)
         assert list(split3) == [True, True, False, False] and split9.all()
         assert np.diff(first9).tolist()[-2:] == [4, 0]
-        G, D = fas_stats._block_factors(x, lam_rate, [1, 3, 9], rule, lambda: family)
+        G, D = fas_stats._block_factors(x, lam_rate, [1, 3, 9], rule)
         for i, v in enumerate(x.tolist()):
             assert G[0, i] == -math.expm1(-v / (lam_rate + 2.0))
             assert D[0, i] == math.exp(-v / (lam_rate + 2.0)) / (lam_rate + 2.0)
@@ -570,9 +632,7 @@ class TestSplitKernel:
             assert G[1, i] == pytest.approx(value, rel=1e-15, abs=0.0)
             assert D[1, i] == pytest.approx(slope, rel=1e-12, abs=0.0)
         for i in (3, 4):
-            cdfs, dens = family.tails(float(x[i])), family.pdf(float(x[i]))
-            assert G[1, i] == min(float(np.dot(rule.weights, cdfs ** 3)), 1.0)
-            assert D[1, i] == 3 * float(np.dot(rule.weights, cdfs ** 2 * dens))
+            assert (G[1, i], D[1, i]) == laguerre_factors(float(x[i]), lam_rate, 3, rule)
         for i in (1, 2, 3):
             value, slope = per_abscissa_factors(float(x[i]), lam_rate, 9)
             assert G[2, i] == pytest.approx(value, rel=1e-15, abs=0.0)

@@ -33,6 +33,8 @@ which draws nothing, dropped --seed; their bodies kept their bytes.
 No file moved when the split rule's block factors became one array kernel
 over batches of abscissas, on Poisson tables cut to each panel's band,
 with panels of 16 nodes at every order.
+No file moved when the Laguerre rule became one panel of that kernel, in
+place of a noncentral chi-square family per distribution.
 The N = 1001 Monte Carlo cells of bler_vs_n, NaN while overlays stopped at
 a thousand ports, were captured when the sampling factor came to be found
 matrix-free; every other cell and file kept its bytes, since every other
